@@ -118,7 +118,9 @@ void BM_QGemmThreaded(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n * n * n));
 }
-BENCHMARK(BM_QGemmThreaded)->Args({512, 2})->Args({512, 4});
+// Real time: the pool's workers do the multiplying, so the main thread's
+// CPU time would inflate items_per_second.
+BENCHMARK(BM_QGemmThreaded)->Args({512, 2})->Args({512, 4})->UseRealTime();
 
 void BM_SoftmaxRows(benchmark::State& state) {
   auto m = random_matrix(64, 64, 5);
@@ -203,6 +205,31 @@ void emit_bench_gemm_json() {
         tensor::qgemm(a, b, c, &pool);
       }));
     }
+  }
+  // Decode shapes through the allocation-free entry points the runtime
+  // uses (caller-owned pack buffer): m < 4 takes the row-direct path,
+  // m >= 4 the packed 4x8 path, so these rows track the crossover.
+  for (const size_t n : {size_t{256}, size_t{1024}}) {
+    const size_t k = 256;
+    const auto bt = random_i8(n, k, 27);
+    std::vector<int8_t> pack(tensor::qgemm_pack_elems(n));
+    for (const size_t m : {1, 2, 3, 4, 16}) {
+      const auto a = random_i8(m, k, 28);
+      tensor::MatrixI32 c(m, n);
+      results.push_back(time_kernel("qgemm_bt_into", m, k, n, 1, 200, [&] {
+        tensor::qgemm_bt_into(a, bt, c, pack);
+      }));
+    }
+  }
+  {
+    const size_t m = 1, k = 1024, n = 256;
+    const auto a = random_i8(m, k, 29);
+    const auto b = random_i8(k, n, 30);
+    std::vector<int8_t> pack(tensor::qgemm_pack_elems(n));
+    tensor::MatrixI32 c(m, n);
+    results.push_back(time_kernel("qgemm_into", m, k, n, 1, 200, [&] {
+      tensor::qgemm_into(a, b, c, pack);
+    }));
   }
   {
     const size_t n = 256;

@@ -13,10 +13,13 @@
 // kernel). For integer types that makes any blocking bit-identical to the
 // naive loop; for float it makes per-element rounding independent of row
 // partitioning, so results match the serial kernel at any thread count.
+// The int8 driver (qgemm_driver_into) adds a row-direct path for A operands
+// with fewer than kGemmMr rows; the float twin always packs.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "tensor/matrix.hpp"
@@ -217,51 +220,6 @@ inline void pack_bt_block_spans_lut(const RowSpanListI8& bt, size_t k0,
   }
 }
 
-/// Dense pack_b_block with a fused dequant table — the FP8-weight GEMM
-/// path: B holds stored codes, the pack decodes them, and accumulation
-/// stays int16/int32 widening exactly like the int8 kernel.
-template <typename M>
-void pack_b_block_lut(const M& b, size_t k0, size_t kc, size_t n,
-                      const int8_t* lut, int8_t* dst) {
-  const size_t ldb = b.cols();
-  const size_t col_panels = util::ceil_div(n, kGemmNr);
-  for (size_t cp = 0; cp < col_panels; ++cp) {
-    const size_t j0 = cp * kGemmNr;
-    const size_t w = std::min(kGemmNr, n - j0);
-    int8_t* panel = dst + cp * kc * kGemmNr;
-    const int8_t* src = b.data() + k0 * ldb + j0;
-    for (size_t p = 0; p < kc; ++p) {
-      for (size_t j = 0; j < w; ++j) {
-        panel[p * kGemmNr + j] = lut[static_cast<uint8_t>(src[j])];
-      }
-      for (size_t j = w; j < kGemmNr; ++j) panel[p * kGemmNr + j] = 0;
-      src += ldb;
-    }
-  }
-}
-
-/// Dense pack_bt_block with a fused dequant table.
-template <typename M>
-void pack_bt_block_lut(const M& bt, size_t k0, size_t kc, size_t n,
-                       const int8_t* lut, int8_t* dst) {
-  const size_t ldb = bt.cols();
-  const size_t col_panels = util::ceil_div(n, kGemmNr);
-  for (size_t cp = 0; cp < col_panels; ++cp) {
-    const size_t j0 = cp * kGemmNr;
-    const size_t w = std::min(kGemmNr, n - j0);
-    int8_t* panel = dst + cp * kc * kGemmNr;
-    for (size_t j = 0; j < w; ++j) {
-      const int8_t* src = bt.data() + (j0 + j) * ldb + k0;
-      for (size_t p = 0; p < kc; ++p) {
-        panel[p * kGemmNr + j] = lut[static_cast<uint8_t>(src[p])];
-      }
-    }
-    for (size_t j = w; j < kGemmNr; ++j) {
-      for (size_t p = 0; p < kc; ++p) panel[p * kGemmNr + j] = 0;
-    }
-  }
-}
-
 /// kGemmMr x kGemmNr register block; operands are widened to Mul before
 /// multiplying.
 template <typename T, typename Mul, typename Acc>
@@ -324,8 +282,126 @@ void gemm_driver_into(const T* a, size_t m, size_t k, size_t n, Acc* c,
   }
 }
 
+// --- Row-direct int8 path ----------------------------------------------------
+//
+// A decode step multiplies one activation row by a whole weight matrix.
+// Through the packed path that row is zero-padded to kGemmMr (3/4 of the
+// micro-kernel's lanes multiply zeros) and all K x N of B is copied to do
+// K x N MACs. An A operand with fewer than kGemmMr rows instead computes
+// each output row straight from B's native layout, with no pack at all:
+// one dot product per B row when B is stored transposed (n x k), an axpy
+// over B rows when it is stored (k x n). Integer accumulation is exact, so
+// the sums are the packed path's bit for bit.
+
+/// Reads a B byte as its int8 value.
+struct Int8Load {
+  int16_t operator()(int8_t x) const { return x; }
+};
+
+/// Reads a B byte as a stored code through a 256-entry dequant table.
+struct LutLoad {
+  const int8_t* lut;
+  int16_t operator()(int8_t x) const { return lut[static_cast<uint8_t>(x)]; }
+};
+
+/// c(i,j) = sum_p a(i,p) * bt(j,p): list row j is B^T's row j (k wide).
+/// Each K block of A's rows is widened to int16 once and reused against
+/// every B row, which lets the dot product lower to pairwise widening
+/// multiply-adds. `c` must be zeroed.
+template <typename Load>
+void row_direct_dot(const int8_t* a, size_t m, size_t k,
+                    const RowSpanListI8& bt, Load load, int32_t* c) {
+  const size_t n = bt.rows;
+  alignas(64) int16_t aw[kGemmMr][kGemmKc];
+  for (size_t k0 = 0; k0 < k; k0 += kGemmKc) {
+    const size_t kc = std::min(kGemmKc, k - k0);
+    for (size_t i = 0; i < m; ++i) {
+      std::copy(a + i * k + k0, a + i * k + k0 + kc, aw[i]);
+    }
+    SpanRowCursor cur = span_row_cursor(bt, 0);
+    for (size_t j = 0; j < n; ++j) {
+      const int8_t* brow = cur.row(bt.row_stride) + k0;
+      for (size_t i = 0; i < m; ++i) {
+        int32_t sum = 0;
+        for (size_t p = 0; p < kc; ++p) {
+          sum += int32_t{aw[i][p]} * int32_t{load(brow[p])};
+        }
+        c[i * n + j] += sum;
+      }
+      cur.advance();
+    }
+  }
+}
+
+/// c(i,:) += a(i,p) * b(p,:) over p: list row p is B's row p (n wide).
+/// Two B rows per pass halve the read-modify-writes of `c`, which must be
+/// zeroed.
+template <typename Load>
+void row_direct_axpy(const int8_t* a, size_t m, size_t k,
+                     const RowSpanListI8& b, Load load, int32_t* c) {
+  const size_t n = b.cols;
+  SpanRowCursor cur = span_row_cursor(b, 0);
+  size_t p = 0;
+  for (; p + 2 <= k; p += 2) {
+    const int8_t* r0 = cur.row(b.row_stride);
+    cur.advance();
+    const int8_t* r1 = cur.row(b.row_stride);
+    cur.advance();
+    for (size_t i = 0; i < m; ++i) {
+      const int32_t a0 = a[i * k + p];
+      const int32_t a1 = a[i * k + p + 1];
+      int32_t* crow = c + i * n;
+      for (size_t j = 0; j < n; ++j) {
+        crow[j] += a0 * load(r0[j]) + a1 * load(r1[j]);
+      }
+    }
+  }
+  if (p < k) {
+    const int8_t* r0 = cur.row(b.row_stride);
+    for (size_t i = 0; i < m; ++i) {
+      const int32_t a0 = a[i * k + p];
+      int32_t* crow = c + i * n;
+      for (size_t j = 0; j < n; ++j) crow[j] += a0 * load(r0[j]);
+    }
+  }
+}
+
+/// The int8 driver every qgemm entry point runs through, and the one place
+/// the path is chosen: fewer than kGemmMr rows of A go row-direct, the
+/// rest pack through `pack_b` into the 4x8 micro-kernel. `b` addresses B
+/// in its native layout (a dense operand is a one-run list, a dequant
+/// table rides on `b.decode`); `b_transposed` says it is stored (n x k).
+/// `c` is the (a.rows x n) output, `bbuf` the packed-B scratch.
+template <typename PackB>
+void qgemm_driver_into(ConstMatrixViewI8 a, const RowSpanListI8& b,
+                       bool b_transposed, MatrixViewI32 c, int8_t* bbuf,
+                       util::ThreadPool* pool, const PackB& pack_b) {
+  const size_t m = a.rows();
+  const size_t k = a.cols();
+  const size_t n = b_transposed ? b.rows : b.cols;
+  if (m >= kGemmMr) {
+    gemm_driver_into<int8_t, int16_t, int32_t>(a.data(), m, k, n, c.data(),
+                                               bbuf, pool, pack_b);
+    return;
+  }
+  c.fill(0);
+  if (m == 0 || n == 0 || k == 0) return;
+  auto row_direct = [&](auto load) {
+    if (b_transposed) {
+      row_direct_dot(a.data(), m, k, b, load, c.data());
+    } else {
+      row_direct_axpy(a.data(), m, k, b, load, c.data());
+    }
+  };
+  if (b.decode != nullptr) {
+    row_direct(LutLoad{b.decode});
+  } else {
+    row_direct(Int8Load{});
+  }
+}
+
 /// Owning-output convenience: resizes `c` and allocates the packing
-/// scratch per call (the legacy engine wrappers and the float kernels).
+/// scratch per call (the float kernels).
 template <typename T, typename Mul, typename Acc, typename PackB>
 void gemm_driver(const Matrix<T>& a, size_t n, Matrix<Acc>& c,
                  util::ThreadPool* pool, const PackB& pack_b) {

@@ -3,6 +3,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "tensor/gemm_detail.hpp"
 #include "util/thread_pool.hpp"
@@ -22,10 +23,9 @@ void qgemm(const MatrixI8& a, const MatrixI8& b, MatrixI32& c,
   if (a.cols() != b.rows()) {
     throw std::invalid_argument("qgemm: inner dimension mismatch");
   }
-  detail::gemm_driver<int8_t, int16_t, int32_t>(
-      a, b.cols(), c, pool, [&](size_t k0, size_t kc, int8_t* dst) {
-        detail::pack_b_block(b, k0, kc, b.cols(), dst);
-      });
+  c = MatrixI32(a.rows(), b.cols());
+  std::vector<int8_t> pack(qgemm_pack_elems(b.cols()));
+  qgemm_into(a, b, c, pack, pool);
 }
 
 void qgemm_bt(const MatrixI8& a, const MatrixI8& bt, MatrixI32& c,
@@ -33,10 +33,9 @@ void qgemm_bt(const MatrixI8& a, const MatrixI8& bt, MatrixI32& c,
   if (a.cols() != bt.cols()) {
     throw std::invalid_argument("qgemm_bt: inner dimension mismatch");
   }
-  detail::gemm_driver<int8_t, int16_t, int32_t>(
-      a, bt.rows(), c, pool, [&](size_t k0, size_t kc, int8_t* dst) {
-        detail::pack_bt_block(bt, k0, kc, bt.rows(), dst);
-      });
+  c = MatrixI32(a.rows(), bt.rows());
+  std::vector<int8_t> pack(qgemm_pack_elems(bt.rows()));
+  qgemm_bt_into(a, bt, c, pack, pool);
 }
 
 size_t qgemm_pack_elems(size_t n) { return detail::pack_b_elems(n); }
@@ -62,7 +61,14 @@ void check_into_args(ConstMatrixViewI8 a, size_t b_k, size_t b_n,
 
 void check_span_list(const RowSpanListI8& list, const char* name) {
   size_t total = 0;
-  for (const RowSpanI8& run : list.runs) total += run.rows;
+  for (const RowSpanI8& run : list.runs) {
+    // The span cursor steps from one run to the next as it leaves a run,
+    // so an empty run would be read as if it held rows.
+    if (run.rows == 0) {
+      throw std::invalid_argument(std::string(name) + ": empty span run");
+    }
+    total += run.rows;
+  }
   if (total != list.rows) {
     throw std::invalid_argument(std::string(name) +
                                 ": span run rows do not sum to rows");
@@ -73,14 +79,53 @@ void check_span_list(const RowSpanListI8& list, const char* name) {
   }
 }
 
+const int8_t* check_lut(const int8_t* lut, const char* name) {
+  if (lut == nullptr) {
+    throw std::invalid_argument(std::string(name) + ": null dequant table");
+  }
+  return lut;
+}
+
+/// A dense operand as a one-run span list, so the row-direct path reads
+/// every B layout through the same cursor.
+RowSpanListI8 one_run(ConstMatrixViewI8 m, const RowSpanI8& run,
+                      const int8_t* decode = nullptr) {
+  return {std::span<const RowSpanI8>(&run, 1), m.rows(), m.cols(), m.cols(),
+          decode};
+}
+
+/// c = a * B with B a span list, packed straight from its runs (decoding
+/// stored codes when the list carries a table).
+void run_spans(ConstMatrixViewI8 a, const RowSpanListI8& b, bool b_transposed,
+               MatrixViewI32 c, std::span<int8_t> pack_buf,
+               util::ThreadPool* pool) {
+  const size_t n = b_transposed ? b.rows : b.cols;
+  detail::qgemm_driver_into(
+      a, b, b_transposed, c, pack_buf.data(), pool,
+      [&](size_t k0, size_t kc, int8_t* dst) {
+        if (b_transposed) {
+          if (b.decode != nullptr) {
+            detail::pack_bt_block_spans_lut(b, k0, kc, n, b.decode, dst);
+          } else {
+            detail::pack_bt_block_spans(b, k0, kc, n, dst);
+          }
+        } else if (b.decode != nullptr) {
+          detail::pack_b_block_spans_lut(b, k0, kc, n, b.decode, dst);
+        } else {
+          detail::pack_b_block_spans(b, k0, kc, n, dst);
+        }
+      });
+}
+
 }  // namespace
 
 void qgemm_into(ConstMatrixViewI8 a, ConstMatrixViewI8 b, MatrixViewI32 c,
                 std::span<int8_t> pack_buf, util::ThreadPool* pool) {
   check_into_args(a, b.rows(), b.cols(), c, pack_buf, "qgemm_into");
-  detail::gemm_driver_into<int8_t, int16_t, int32_t>(
-      a.data(), a.rows(), a.cols(), b.cols(), c.data(), pack_buf.data(),
-      pool, [&](size_t k0, size_t kc, int8_t* dst) {
+  const RowSpanI8 rows{b.data(), b.rows()};
+  detail::qgemm_driver_into(
+      a, one_run(b, rows), false, c, pack_buf.data(), pool,
+      [&](size_t k0, size_t kc, int8_t* dst) {
         detail::pack_b_block(b, k0, kc, b.cols(), dst);
       });
 }
@@ -88,9 +133,10 @@ void qgemm_into(ConstMatrixViewI8 a, ConstMatrixViewI8 b, MatrixViewI32 c,
 void qgemm_bt_into(ConstMatrixViewI8 a, ConstMatrixViewI8 bt, MatrixViewI32 c,
                    std::span<int8_t> pack_buf, util::ThreadPool* pool) {
   check_into_args(a, bt.cols(), bt.rows(), c, pack_buf, "qgemm_bt_into");
-  detail::gemm_driver_into<int8_t, int16_t, int32_t>(
-      a.data(), a.rows(), a.cols(), bt.rows(), c.data(), pack_buf.data(),
-      pool, [&](size_t k0, size_t kc, int8_t* dst) {
+  const RowSpanI8 rows{bt.data(), bt.rows()};
+  detail::qgemm_driver_into(
+      a, one_run(bt, rows), true, c, pack_buf.data(), pool,
+      [&](size_t k0, size_t kc, int8_t* dst) {
         detail::pack_bt_block(bt, k0, kc, bt.rows(), dst);
       });
 }
@@ -100,15 +146,7 @@ void qgemm_spans_into(ConstMatrixViewI8 a, const RowSpanListI8& b,
                       util::ThreadPool* pool) {
   check_into_args(a, b.rows, b.cols, c, pack_buf, "qgemm_spans_into");
   check_span_list(b, "qgemm_spans_into");
-  detail::gemm_driver_into<int8_t, int16_t, int32_t>(
-      a.data(), a.rows(), a.cols(), b.cols, c.data(), pack_buf.data(), pool,
-      [&](size_t k0, size_t kc, int8_t* dst) {
-        if (b.decode != nullptr) {
-          detail::pack_b_block_spans_lut(b, k0, kc, b.cols, b.decode, dst);
-        } else {
-          detail::pack_b_block_spans(b, k0, kc, b.cols, dst);
-        }
-      });
+  run_spans(a, b, false, c, pack_buf, pool);
 }
 
 void qgemm_bt_spans_into(ConstMatrixViewI8 a, const RowSpanListI8& bt,
@@ -116,44 +154,25 @@ void qgemm_bt_spans_into(ConstMatrixViewI8 a, const RowSpanListI8& bt,
                          util::ThreadPool* pool) {
   check_into_args(a, bt.cols, bt.rows, c, pack_buf, "qgemm_bt_spans_into");
   check_span_list(bt, "qgemm_bt_spans_into");
-  detail::gemm_driver_into<int8_t, int16_t, int32_t>(
-      a.data(), a.rows(), a.cols(), bt.rows, c.data(), pack_buf.data(), pool,
-      [&](size_t k0, size_t kc, int8_t* dst) {
-        if (bt.decode != nullptr) {
-          detail::pack_bt_block_spans_lut(bt, k0, kc, bt.rows, bt.decode,
-                                          dst);
-        } else {
-          detail::pack_bt_block_spans(bt, k0, kc, bt.rows, dst);
-        }
-      });
+  run_spans(a, bt, true, c, pack_buf, pool);
 }
 
 void qgemm_lut_into(ConstMatrixViewI8 a, ConstMatrixViewI8 b,
                     const int8_t* lut, MatrixViewI32 c,
                     std::span<int8_t> pack_buf, util::ThreadPool* pool) {
   check_into_args(a, b.rows(), b.cols(), c, pack_buf, "qgemm_lut_into");
-  if (lut == nullptr) {
-    throw std::invalid_argument("qgemm_lut_into: null dequant table");
-  }
-  detail::gemm_driver_into<int8_t, int16_t, int32_t>(
-      a.data(), a.rows(), a.cols(), b.cols(), c.data(), pack_buf.data(),
-      pool, [&](size_t k0, size_t kc, int8_t* dst) {
-        detail::pack_b_block_lut(b, k0, kc, b.cols(), lut, dst);
-      });
+  const RowSpanI8 rows{b.data(), b.rows()};
+  run_spans(a, one_run(b, rows, check_lut(lut, "qgemm_lut_into")), false, c,
+            pack_buf, pool);
 }
 
 void qgemm_bt_lut_into(ConstMatrixViewI8 a, ConstMatrixViewI8 bt,
                        const int8_t* lut, MatrixViewI32 c,
                        std::span<int8_t> pack_buf, util::ThreadPool* pool) {
   check_into_args(a, bt.cols(), bt.rows(), c, pack_buf, "qgemm_bt_lut_into");
-  if (lut == nullptr) {
-    throw std::invalid_argument("qgemm_bt_lut_into: null dequant table");
-  }
-  detail::gemm_driver_into<int8_t, int16_t, int32_t>(
-      a.data(), a.rows(), a.cols(), bt.rows(), c.data(), pack_buf.data(),
-      pool, [&](size_t k0, size_t kc, int8_t* dst) {
-        detail::pack_bt_block_lut(bt, k0, kc, bt.rows(), lut, dst);
-      });
+  const RowSpanI8 rows{bt.data(), bt.rows()};
+  run_spans(a, one_run(bt, rows, check_lut(lut, "qgemm_bt_lut_into")), true,
+            c, pack_buf, pool);
 }
 
 void qgemm_naive(const MatrixI8& a, const MatrixI8& b, MatrixI32& c) {

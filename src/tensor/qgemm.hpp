@@ -11,7 +11,10 @@
 //   * a kMr x kNr block of int32 accumulators is held in registers while
 //     the packed panels stream through, with operands widened to int16 so
 //     the inner loop auto-vectorizes to widening multiply-adds;
-//   * K is blocked at kKc so one A panel + one B panel stay cache-resident.
+//   * K is blocked at kKc so one A panel + one B panel stay cache-resident;
+//   * an A operand with fewer than kMr rows (a decode step) skips packing
+//     and reads B in its native layout, one dot product or axpy per B row,
+//     so no lane multiplies padding and no weight is copied.
 //
 // Integer accumulation is exact, so any packing/blocking/threading order
 // produces bit-identical int32 sums — the naive references below are
@@ -61,9 +64,10 @@ void qgemm_bt_into(ConstMatrixViewI8 a, ConstMatrixViewI8 bt, MatrixViewI32 c,
 /// Block-strided twins: the B operand is a RowSpanListI8 — a logical
 /// matrix stored as row runs resident in (possibly non-contiguous) block
 /// storage, e.g. a paged KV cache's block table. Packing already streams
-/// B panel-by-panel, so the panels read straight from the runs; the
-/// packed layout and micro-kernel are unchanged, making the result
-/// bit-identical to gathering the runs into a contiguous matrix first.
+/// B panel-by-panel, so the panels read straight from the runs (as do the
+/// row-direct loops for fewer than 4 rows of A); the packed layout and
+/// micro-kernel are unchanged, making the result bit-identical to
+/// gathering the runs into a contiguous matrix first.
 /// qgemm_spans_into treats the list as the (k x n) B (c = a * b);
 /// qgemm_bt_spans_into as the (n x k) B^T (c = a * bt^T).
 void qgemm_spans_into(ConstMatrixViewI8 a, const RowSpanListI8& b,
@@ -75,12 +79,12 @@ void qgemm_bt_spans_into(ConstMatrixViewI8 a, const RowSpanListI8& bt,
 
 /// Quantized-weight twins: the B operand holds stored codes (e.g. fp8
 /// bytes — see numeric/fp8.hpp's KvCodec) and `lut` is the 256-entry
-/// code -> int8 dequant table, applied while packing. Accumulation stays
-/// int16/int32 widening, so the result is bit-identical to decoding B
-/// into an int8 matrix first and running qgemm_into on it — the fused
-/// path just never materializes the decoded matrix. The span variants
-/// above dispatch to the same fused packs when RowSpanListI8::decode is
-/// set.
+/// code -> int8 dequant table, applied while packing (or, for fewer than
+/// 4 rows of A, per element as the row-direct loops read). Accumulation
+/// stays int16/int32 widening, so the result is bit-identical to decoding
+/// B into an int8 matrix first and running qgemm_into on it — the fused
+/// path just never materializes the decoded matrix. These are the span
+/// variants above on a one-run list whose RowSpanListI8::decode is `lut`.
 void qgemm_lut_into(ConstMatrixViewI8 a, ConstMatrixViewI8 b,
                     const int8_t* lut, MatrixViewI32 c,
                     std::span<int8_t> pack_buf,

@@ -1,9 +1,12 @@
 // Tests for the packed int8 GEMM kernel layer: exact equivalence with the
-// retained naive references on ragged and degenerate shapes, thread-count
+// retained naive references on ragged and degenerate shapes (every entry
+// point, on both sides of the row-direct / packed boundary), thread-count
 // invariance, and bit-identity of the engines that ride on it.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "accel/engines.hpp"
@@ -111,6 +114,209 @@ TEST(QGemm, DefaultPoolConfigurable) {
 
   qgemm_set_threads(0);
   EXPECT_EQ(qgemm_default_pool(), nullptr);
+}
+
+// --- every int8 entry point against the naive oracles ----------------------
+//
+// Operands with fewer than kGemmMr (4) rows take the row-direct path, the
+// rest the packed 4x8 path. Each entry point is compared with
+// qgemm_naive / qgemm_bt_naive, never with another entry point, so a bug
+// shared by two variants cannot hide.
+
+using Lut = std::array<int8_t, 256>;
+
+MatrixI8 transposed(const MatrixI8& m) {
+  MatrixI8 t(m.cols(), m.rows());
+  for (size_t r = 0; r < m.rows(); ++r) {
+    for (size_t c = 0; c < m.cols(); ++c) t(c, r) = m(r, c);
+  }
+  return t;
+}
+
+MatrixI8 decoded(const MatrixI8& codes, const Lut& lut) {
+  MatrixI8 out(codes.rows(), codes.cols());
+  for (size_t i = 0; i < codes.size(); ++i) {
+    out.data()[i] = lut[static_cast<uint8_t>(codes.data()[i])];
+  }
+  return out;
+}
+
+/// A copy of `m` stored as a span list: runs of 1, 3, 1, 2 and 5 rows
+/// (repeating), laid out in storage in reverse run order, rows
+/// `row_stride = cols + 3` apart. Stride padding and the gaps between runs
+/// hold a sentinel, so a cursor that strays reads wrong values. `list`
+/// points into `storage` and `runs`, so a SpannedCopy is moved, never
+/// copied.
+struct SpannedCopy {
+  std::vector<int8_t> storage;
+  std::vector<RowSpanI8> runs;
+  RowSpanListI8 list;
+};
+
+SpannedCopy spanned(const MatrixI8& m, const int8_t* decode = nullptr) {
+  static constexpr size_t kRunRows[] = {1, 3, 1, 2, 5};
+  SpannedCopy out;
+  const size_t stride = m.cols() + 3;
+  std::vector<size_t> lengths;
+  for (size_t r = 0, i = 0; r < m.rows(); ++i) {
+    lengths.push_back(std::min(kRunRows[i % 5], m.rows() - r));
+    r += lengths.back();
+  }
+  // One gap row between runs; runs are written last-first.
+  out.storage.assign((m.rows() + lengths.size() + 1) * stride, 0x55);
+  std::vector<size_t> first_row(lengths.size());
+  size_t slot = 1;
+  for (size_t i = lengths.size(); i-- > 0;) {
+    first_row[i] = slot;
+    slot += lengths[i] + 1;
+  }
+  for (size_t i = 0, r = 0; i < lengths.size(); r += lengths[i++]) {
+    int8_t* base = out.storage.data() + first_row[i] * stride;
+    for (size_t j = 0; j < lengths[i]; ++j) {
+      std::copy(m.row(r + j).begin(), m.row(r + j).end(),
+                base + j * stride);
+    }
+    out.runs.push_back({base, lengths[i]});
+  }
+  out.list.runs = out.runs;
+  out.list.rows = m.rows();
+  out.list.cols = m.cols();
+  out.list.row_stride = stride;
+  out.list.decode = decode;
+  return out;
+}
+
+/// Checks every int8 entry point on c = a * B, where B = lut(codes) is
+/// (k x n): the int8 variants multiply the decoded matrix, the table
+/// variants the codes.
+void expect_entry_points_match_naive(const MatrixI8& a, const MatrixI8& codes,
+                                     const Lut& lut, const std::string& at) {
+  const MatrixI8 b = decoded(codes, lut);
+  const MatrixI8 bt = transposed(b);
+  const MatrixI8 codes_t = transposed(codes);
+  const size_t m = a.rows();
+  const size_t n = b.cols();
+
+  MatrixI32 want, want_bt;
+  qgemm_naive(a, b, want);
+  qgemm_bt_naive(a, bt, want_bt);
+  ASSERT_EQ(want, want_bt) << at;
+
+  MatrixI32 owning;
+  qgemm(a, b, owning);
+  EXPECT_EQ(owning, want) << "qgemm " << at;
+  qgemm_bt(a, bt, owning);
+  EXPECT_EQ(owning, want) << "qgemm_bt " << at;
+
+  std::vector<int8_t> pack(qgemm_pack_elems(n));
+  auto into = [&](const char* name, const auto& call) {
+    MatrixI32 c(m, n, 0x7f7f7f7f);  // every element must be written
+    call(MatrixViewI32(c));
+    EXPECT_EQ(c, want) << name << " " << at;
+  };
+  into("qgemm_into", [&](MatrixViewI32 c) { qgemm_into(a, b, c, pack); });
+  into("qgemm_bt_into",
+       [&](MatrixViewI32 c) { qgemm_bt_into(a, bt, c, pack); });
+  into("qgemm_lut_into", [&](MatrixViewI32 c) {
+    qgemm_lut_into(a, codes, lut.data(), c, pack);
+  });
+  into("qgemm_bt_lut_into", [&](MatrixViewI32 c) {
+    qgemm_bt_lut_into(a, codes_t, lut.data(), c, pack);
+  });
+
+  const SpannedCopy b_spans = spanned(b);
+  const SpannedCopy bt_spans = spanned(bt);
+  const SpannedCopy code_spans = spanned(codes, lut.data());
+  const SpannedCopy code_t_spans = spanned(codes_t, lut.data());
+  into("qgemm_spans_into", [&](MatrixViewI32 c) {
+    qgemm_spans_into(a, b_spans.list, c, pack);
+  });
+  into("qgemm_bt_spans_into", [&](MatrixViewI32 c) {
+    qgemm_bt_spans_into(a, bt_spans.list, c, pack);
+  });
+  into("qgemm_spans_into+decode", [&](MatrixViewI32 c) {
+    qgemm_spans_into(a, code_spans.list, c, pack);
+  });
+  into("qgemm_bt_spans_into+decode", [&](MatrixViewI32 c) {
+    qgemm_bt_spans_into(a, code_t_spans.list, c, pack);
+  });
+}
+
+Lut random_lut(uint64_t seed) {
+  Lut lut;
+  util::Xoshiro256 rng(seed);
+  for (auto& x : lut) {
+    x = static_cast<int8_t>(static_cast<int32_t>(rng.bounded(256)) - 128);
+  }
+  lut[0] = -128;  // the extreme value is always reachable
+  return lut;
+}
+
+Lut identity_lut() {
+  Lut lut;
+  for (size_t c = 0; c < lut.size(); ++c) lut[c] = static_cast<int8_t>(c);
+  return lut;
+}
+
+TEST(QGemmEntryPoints, MatchNaiveAcrossRowDirectBoundary) {
+  const Lut lut = random_lut(500);
+  uint64_t seed = 501;
+  // k = 1, k crossing one K block (256) and four; n ragged against 8.
+  for (const size_t k : {1, 300, 1024}) {
+    for (const size_t n : {1, 13, 37}) {
+      for (size_t m = 0; m <= 5; ++m) {
+        const auto a = random_i8(m, k, seed++);
+        MatrixI8 codes = random_i8(k, n, seed++);
+        codes(0, 0) = 0;  // decodes to -128
+        expect_entry_points_match_naive(
+            a, codes, lut,
+            "m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                " n=" + std::to_string(n));
+      }
+    }
+  }
+}
+
+TEST(QGemmEntryPoints, EmptyInnerAndOuterDimensions) {
+  const Lut lut = random_lut(600);
+  for (size_t m = 0; m <= 5; ++m) {
+    expect_entry_points_match_naive(random_i8(m, 0, 601), random_i8(0, 9, 602),
+                                    lut, "k=0 m=" + std::to_string(m));
+    expect_entry_points_match_naive(random_i8(m, 7, 603), random_i8(7, 0, 604),
+                                    lut, "n=0 m=" + std::to_string(m));
+  }
+}
+
+TEST(QGemmEntryPoints, EmptySpanRunThrows) {
+  const auto a = random_i8(1, 4, 700);
+  const auto b = random_i8(4, 4, 701);
+  const RowSpanI8 runs[] = {{b.row(0).data(), 2},
+                            {b.row(2).data(), 0},
+                            {b.row(2).data(), 2}};
+  RowSpanListI8 list;
+  list.runs = runs;
+  list.rows = 4;
+  list.cols = 4;
+  list.row_stride = 4;
+  std::vector<int8_t> pack(qgemm_pack_elems(4));
+  MatrixI32 c(1, 4);
+  EXPECT_THROW(qgemm_spans_into(a, list, c, pack), std::invalid_argument);
+  EXPECT_THROW(qgemm_bt_spans_into(a, list, c, pack), std::invalid_argument);
+}
+
+TEST(QGemmEntryPoints, AllMinusOneTwentyEightDoesNotOverflow) {
+  // (-128) * (-128) = 16384 is the largest int16-widened product; 1024 of
+  // them sum to 2^24 in every output element, on both paths.
+  const size_t k = 1024, n = 11;
+  for (const size_t m : {1, 3, 4, 5}) {
+    MatrixI8 a(m, k, -128);
+    MatrixI8 codes(k, n, -128);  // the identity table keeps them -128
+    expect_entry_points_match_naive(a, codes, identity_lut(),
+                                    "all -128 m=" + std::to_string(m));
+    MatrixI32 c;
+    qgemm_bt(a, transposed(codes), c);
+    for (const int32_t x : c.flat()) EXPECT_EQ(x, 1024 * 16384);
+  }
 }
 
 }  // namespace
