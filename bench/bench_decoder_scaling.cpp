@@ -397,13 +397,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- quantized KV storage: fp8 determinism + fp4-packed concurrency ------
+  // --- quantized KV storage: fp8/fp4 determinism + fp4-packed concurrency --
   // fp8 (e4m3) re-encodes stored K/V at the same 1 byte/element as int8 —
   // the datapath win is the fused LUT dequant, so the gate here is
   // reproducibility: paged fp8 decode must equal dense fp8 decode bit for
-  // bit, twice. Packed fp4 (e2m1) honestly halves the stored row width,
-  // so the SAME pool byte budget as the int8 run above carves twice the
-  // blocks and must serve >= 2x the concurrent sequences, executed.
+  // bit, twice, and paged fp4 (two codes a byte, split in the same pack
+  // stage) must equal dense fp4. Packed fp4 (e2m1) honestly halves the
+  // stored row width, so the SAME pool byte budget as the int8 run above
+  // carves twice the blocks and must serve >= 2x the concurrent
+  // sequences, executed.
   {
     ref::ModelConfig small;
     small.name = "decoder-quant-kv";
@@ -496,21 +498,29 @@ int main(int argc, char** argv) {
     for (size_t i = 0; fp4_deterministic && i < fp4_a.size(); ++i) {
       fp4_deterministic = fp4_a[i].states == fp4_b[i].states;
     }
+    runtime::GenerationSchedulerOptions fp4_dense = fp8_dense;
+    fp4_dense.kv_storage = numeric::KvStorage::kFp4E2M1;
+    const auto fp4_dense_results = scheduler.run(requests, fp4_dense);
+    bool fp4_identical = fp4_a.size() == fp4_dense_results.size();
+    for (size_t i = 0; fp4_identical && i < fp4_a.size(); ++i) {
+      fp4_identical = fp4_a[i].states == fp4_dense_results[i].states;
+    }
     const double conc_ratio = static_cast<double>(fp4_stats.max_active) /
                               static_cast<double>(int8_stats.max_active);
     const bool fp4_doubles = conc_ratio >= 2.0;
 
-    identical = identical && widths_ok && fp8_identical &&
+    identical = identical && widths_ok && fp8_identical && fp4_identical &&
                 fp4_deterministic && fp4_doubles;
     std::printf(
         "quantized KV (96 x 4 rows, %llu KiB pool budget): int8 row %llu B "
-        "-> fp8 %llu B, fp4 %llu B; fp8 paged==dense %s; int8 %u concurrent "
-        "-> fp4 %u (%.1fx, deterministic %s)\n\n",
+        "-> fp8 %llu B, fp4 %llu B; fp8 paged==dense %s; fp4 paged==dense "
+        "%s; int8 %u concurrent -> fp4 %u (%.1fx, deterministic %s)\n\n",
         static_cast<unsigned long long>(budget_bytes / 1024),
         static_cast<unsigned long long>(row_int8),
         static_cast<unsigned long long>(row_fp8),
         static_cast<unsigned long long>(row_fp4),
-        fp8_identical ? "IDENTICAL" : "DIVERGED", int8_stats.max_active,
+        fp8_identical ? "IDENTICAL" : "DIVERGED",
+        fp4_identical ? "IDENTICAL" : "DIVERGED", int8_stats.max_active,
         fp4_stats.max_active, conc_ratio, fp4_deterministic ? "yes" : "NO");
     records.push_back({"quant_kv", "row_bytes_int8",
                        static_cast<double>(row_int8), "B"});
@@ -520,6 +530,8 @@ int main(int argc, char** argv) {
                        static_cast<double>(row_fp4), "B"});
     records.push_back({"quant_kv", "fp8_outputs_bit_identical",
                        fp8_identical ? 1.0 : 0.0, "bool"});
+    records.push_back({"quant_kv", "fp4_outputs_bit_identical",
+                       fp4_identical ? 1.0 : 0.0, "bool"});
     records.push_back({"quant_kv", "pool_budget_bytes",
                        static_cast<double>(budget_bytes), "B"});
     records.push_back({"quant_kv", "int8_max_concurrent",
@@ -674,14 +686,13 @@ int main(int argc, char** argv) {
                        sharing_happened ? 1.0 : 0.0, "bool"});
   }
 
-  // --- gather-free paged decode: block-strided spans vs gather fallback ----
-  // Before/after in ONE run: the same quantized model decodes the same
-  // token rows through the legacy gather fallback (copy the cached
-  // prefix into contiguous scratch every step — kv_gather_fallback) and
-  // the block-strided default (QK/SV stream the block table in place,
-  // softmax fused on the i32 accumulator). Steps are timed around
-  // T=128; outputs must match bit for bit and the strided session must
-  // report zero gathered bytes — both folded into the exit gate.
+  // --- paged decode: block-strided spans vs the dense one-run span --------
+  // Both layouts read K/V through the same span engines (QK/SV stream the
+  // cache in place, softmax fused on the i32 accumulator): the dense
+  // layout as one run per head, the paged one as a run per block. The
+  // same quantized model decodes the same token rows through both;
+  // steps are timed around T=128 and outputs must match bit for bit —
+  // folded into the exit gate.
   {
     ref::ModelConfig mid;
     mid.name = "decoder-strided";
@@ -707,80 +718,64 @@ int main(int argc, char** argv) {
     for (float& x : tokens.flat()) x = static_cast<float>(rng.normal());
 
     const accel::AccelConfig hw_cfg;  // sessions bind by reference
-    accel::EngineStats gather_stats, strided_stats;
-    runtime::GenerationOptions gather_opts;
-    gather_opts.kv_block_rows = 16;
-    gather_opts.kv_gather_fallback = true;  // the pre-span reference
-    runtime::GenerationSession gather(hw_cfg, qd, &gather_stats,
-                                      gather_opts);
+    accel::EngineStats strided_stats;
+    runtime::GenerationOptions dense_opts;
+    dense_opts.kv_block_rows = 0;
+    runtime::GenerationSession dense(hw_cfg, qd, nullptr, dense_opts);
     runtime::GenerationOptions strided_opts;
     strided_opts.kv_block_rows = 16;
     runtime::GenerationSession strided(hw_cfg, qd, &strided_stats,
                                        strided_opts);
 
-    tensor::MatrixF gs, ss, state;
-    gather.prefill(prefix, memory, gs);
+    tensor::MatrixF ds, ss, state;
+    dense.prefill(prefix, memory, ds);
     strided.prefill(prefix, memory, ss);
-    bool strided_identical = gs == ss;
+    bool strided_identical = ds == ss;
 
-    // Interleave the timed steps (gather, strided, gather, ...) so both
-    // modes see the same clock/thermal conditions; per-step wall times
+    // Interleave the timed steps (dense, strided, dense, ...) so both
+    // layouts see the same clock/thermal conditions; per-step wall times
     // accumulate separately.
-    const uint64_t gathered_before = gather_stats.gathered_bytes;
     const uint64_t runs_before = strided_stats.span_runs;
-    tensor::MatrixF gstate;
-    std::vector<double> gather_samples, strided_samples;
+    tensor::MatrixF dstate;
+    std::vector<double> dense_samples, strided_samples;
     util::Stopwatch watch;
     for (uint32_t t = 0; t < steps; ++t) {
       const auto token = tokens.slice_rows(t, 1);
       watch.reset();
-      gather.decode_step(token, gstate);
-      gather_samples.push_back(watch.milliseconds());
+      dense.decode_step(token, dstate);
+      dense_samples.push_back(watch.milliseconds());
       watch.reset();
       strided.decode_step(token, state);
       strided_samples.push_back(watch.milliseconds());
-      strided_identical = strided_identical && state == gstate;
+      strided_identical = strided_identical && state == dstate;
     }
-    const double gather_ms = bench::median(gather_samples);
+    const double dense_ms = bench::median(dense_samples);
     const double strided_ms = bench::median(strided_samples);
-    const uint64_t gathered = gather_stats.gathered_bytes - gathered_before;
     const uint64_t span_runs = strided_stats.span_runs - runs_before;
-    const bool zero_gather = strided_stats.gathered_bytes == 0;
-    identical = identical && strided_identical && zero_gather;
+    identical = identical && strided_identical;
 
     std::printf(
         "executed paged decode @ T=128 (%s, d=%u, h=%u, N=%u, 16-row "
-        "blocks, %u timed steps): gather fallback %.3f ms/step "
-        "(%llu KiB copied), block-strided %.3f ms/step (%.2fx, %llu span "
-        "runs, %llu gathered bytes), outputs %s\n\n",
+        "blocks, %u timed steps): dense %.3f ms/step, block-strided %.3f "
+        "ms/step (%llu span runs), outputs %s\n\n",
         ci ? "ci" : "full", mid.d_model, mid.num_heads, mid.num_layers,
-        steps, gather_ms,
-        static_cast<unsigned long long>(gathered / 1024), strided_ms,
-        gather_ms / strided_ms, static_cast<unsigned long long>(span_runs),
-        static_cast<unsigned long long>(strided_stats.gathered_bytes),
-        strided_identical && zero_gather ? "IDENTICAL" : "DIVERGED");
-    records.push_back(
-        {"decode_T128_d256", "gather_step_ms", gather_ms, "ms"});
+        steps, dense_ms, strided_ms,
+        static_cast<unsigned long long>(span_runs),
+        strided_identical ? "IDENTICAL" : "DIVERGED");
+    records.push_back({"decode_T128_d256", "dense_step_ms", dense_ms, "ms"});
     records.push_back(
         {"decode_T128_d256", "strided_step_ms", strided_ms, "ms"});
-    records.push_back({"decode_T128_d256", "step_speedup",
-                       gather_ms / strided_ms, "x"});
-    records.push_back({"decode_T128_d256", "gather_bytes_per_step",
-                       static_cast<double>(gathered) / steps, "B"});
-    records.push_back({"decode_T128_d256", "strided_gathered_bytes",
-                       static_cast<double>(strided_stats.gathered_bytes),
-                       "B"});
     records.push_back({"decode_T128_d256", "strided_span_runs",
                        static_cast<double>(span_runs), "runs"});
     records.push_back({"decode_T128_d256", "outputs_bit_identical",
-                       strided_identical && zero_gather ? 1.0 : 0.0,
-                       "bool"});
+                       strided_identical ? 1.0 : 0.0, "bool"});
 
     // Isolated attention stage at the same shape (one head, 128 cached
-    // rows): span engines straight off the block table vs gather-then-
-    // contiguous. The full step above is dominated by weight
-    // packing/GEMM work identical in both modes; this isolates exactly
-    // the stage the block-strided path rewrites.
+    // rows): span engines straight off the block table vs the contiguous
+    // engines (unfused softmax) on the same K/V held as plain matrices —
+    // the full-recompute path's engines, so this is also an independent
+    // bit-identity check. The full step above is dominated by weight
+    // GEMM work; this isolates exactly the stage spans read.
     {
       runtime::KvCache cache;
       runtime::KvCacheOptions kv_opts;
@@ -813,7 +808,7 @@ int main(int argc, char** argv) {
       tensor::MatrixI8 weights_ref(1, rows), scores_ref(1, dk);
 
       const uint32_t reps = 300;
-      std::vector<double> span_us, copy_us;
+      std::vector<double> span_us, contiguous_us;
       for (uint32_t r = 0; r < reps; ++r) {
         const size_t layer = r % mid.num_layers;
         const size_t head = r % mid.num_heads;
@@ -834,36 +829,31 @@ int main(int argc, char** argv) {
         span_us.push_back(watch.microseconds());
         watch.reset();
         {
+          // Every (layer, head) K and V holds `fill`.
           const auto m = ws.mark();
-          auto k_gather = ws.matrix_i8(rows, dk);
-          auto v_gather = ws.matrix_i8(rows, dk);
-          cache.gather_self(layer, head, rows, k_gather, v_gather);
           auto logits = ws.matrix_i8(1, rows);
-          accel::run_qk_engine(q, k_gather, rq_logit, logits, ws);
+          accel::run_qk_engine(q, fill, rq_logit, logits, ws);
           softmax.run_causal_into(logits, weights_ref, rows - 1);
-          accel::run_sv_engine(weights_ref, v_gather, rq_sv, scores_ref,
-                               ws);
+          accel::run_sv_engine(weights_ref, fill, rq_sv, scores_ref, ws);
           ws.rewind(m);
         }
-        copy_us.push_back(watch.microseconds());
+        contiguous_us.push_back(watch.microseconds());
         strided_identical = strided_identical &&
                             weights == weights_ref && scores == scores_ref;
       }
       const double span_med = bench::median(span_us);
-      const double copy_med = bench::median(copy_us);
+      const double contiguous_med = bench::median(contiguous_us);
       identical = identical && strided_identical;
       std::printf(
           "isolated attention stage (1 head, %u cached rows, dk=%u, "
-          "median of %u reps): gather+contiguous %.1f us, block-strided "
-          "spans %.1f us (%.2fx), outputs %s\n\n",
-          rows, dk, reps, copy_med, span_med, copy_med / span_med,
+          "median of %u reps): contiguous engines %.1f us, block-strided "
+          "spans %.1f us, outputs %s\n\n",
+          rows, dk, reps, contiguous_med, span_med,
           strided_identical ? "IDENTICAL" : "DIVERGED");
       records.push_back(
-          {"attn_stage_T128", "gather_stage_us", copy_med, "us"});
+          {"attn_stage_T128", "contiguous_stage_us", contiguous_med, "us"});
       records.push_back(
           {"attn_stage_T128", "strided_stage_us", span_med, "us"});
-      records.push_back({"attn_stage_T128", "stage_speedup",
-                         copy_med / span_med, "x"});
     }
   }
 

@@ -193,35 +193,6 @@ void run_qk_engine(tensor::ConstMatrixViewI8 q, tensor::ConstMatrixViewI8 k,
   ws.rewind(m);
 }
 
-void run_qk_engine(tensor::ConstMatrixViewI8 q,
-                   const tensor::RowSpanListI8& k,
-                   const numeric::RequantParams& rq_logit,
-                   tensor::MatrixViewI8 logits, runtime::WorkspaceArena& ws,
-                   EngineStats* stats, util::ThreadPool* pool) {
-  if (q.cols() != k.cols) {
-    throw std::invalid_argument("run_qk_engine: head dim mismatch");
-  }
-  const size_t sl_q = q.rows();
-  const size_t sl_k = k.rows;
-  const size_t dk = q.cols();
-  check_out_shape(logits, sl_q, sl_k, "run_qk_engine");
-
-  const auto m = ws.mark();
-  auto acc = ws.matrix_i32(sl_q, sl_k);
-  auto pack = ws.span_i8(tensor::qgemm_pack_elems(sl_k));
-  tensor::qgemm_bt_spans_into(q, k, acc, pack, pool);
-  for (size_t i = 0; i < sl_q; ++i) {
-    for (size_t j = 0; j < sl_k; ++j) {
-      logits(i, j) = requant8(acc(i, j), rq_logit);
-    }
-  }
-  if (stats != nullptr) {
-    stats->macs += sl_q * sl_k * dk;
-    stats->span_runs += k.runs.size();
-  }
-  ws.rewind(m);
-}
-
 void run_qk_softmax_engine(tensor::ConstMatrixViewI8 q,
                            const tensor::RowSpanListI8& k,
                            const numeric::RequantParams& rq_logit,

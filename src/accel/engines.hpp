@@ -52,13 +52,10 @@ struct EngineStats {
   /// 0 for dense caches).
   uint64_t kv_blocks_in_use = 0;
   uint64_t kv_blocks_peak = 0;
-  /// Bytes memcpy'd out of the paged KV cache by prefix gathers (the
-  /// pre-block-strided reference path, 2 x rows x head_dim per head per
-  /// layer per step). The block-strided decode path reports 0 — pinned
-  /// in tests/test_generation.cpp.
-  uint64_t gathered_bytes = 0;
-  /// Block-table runs streamed by the span-accepting QK/SV engines (one
-  /// per contiguous run per engine call; grows as block_rows shrinks).
+  /// Row runs streamed by the span-accepting QK/SV engines (one per
+  /// contiguous run per engine call: a dense cache reads one run, a
+  /// paged one a run per non-adjacent block, so it grows as block_rows
+  /// shrinks).
   uint64_t span_runs = 0;
   /// Cross-request prefix cache (mirrored by the generation runtime from
   /// runtime::PrefixCache outcomes; all 0 when the cache is off).
@@ -121,17 +118,6 @@ void run_qk_engine(const tensor::MatrixI8& q, const tensor::MatrixI8& k,
 
 class SoftmaxUnit;
 
-/// Algorithm 2 over a block-strided K operand: `k` is a RowSpanListI8
-/// walking a paged KV block table in place (tensor/qgemm span packing),
-/// so the decode path pays no gather copy. Bit-identical to gathering
-/// first — int32 accumulation is exact and packing order is immaterial.
-void run_qk_engine(tensor::ConstMatrixViewI8 q,
-                   const tensor::RowSpanListI8& k,
-                   const numeric::RequantParams& rq_logit,
-                   tensor::MatrixViewI8 logits, runtime::WorkspaceArena& ws,
-                   EngineStats* stats = nullptr,
-                   util::ThreadPool* pool = nullptr);
-
 /// Algorithm 2 fused with the causal softmax for the cached decode path:
 /// computes the QK int32 accumulator over the span-list K operand and
 /// hands the tile straight to `softmax`'s fused dequant→softmax→requant
@@ -159,7 +145,7 @@ void run_sv_engine(const tensor::MatrixI8& attn_weights,
                    const numeric::RequantParams& rq_sv,
                    tensor::MatrixI8& scores, EngineStats* stats = nullptr);
 
-/// Algorithm 3 over a block-strided V operand (see the span QK engine).
+/// Algorithm 3 over a block-strided V operand (see run_qk_softmax_engine).
 void run_sv_engine(tensor::ConstMatrixViewI8 attn_weights,
                    const tensor::RowSpanListI8& v,
                    const numeric::RequantParams& rq_sv,

@@ -553,6 +553,7 @@ void KvCache::configure(size_t num_layers, size_t num_heads,
   block_rows_ = opts.block_rows;
   owned_pool_.reset();
   pool_ = nullptr;
+  dense_self_ = nullptr;
   credit_ = nullptr;
   maybe_shared_ = false;
   forked_lineage_ = false;
@@ -567,16 +568,12 @@ void KvCache::configure(size_t num_layers, size_t num_heads,
       layer.cross_k.back().fill(0);
       layer.cross_v.back().fill(0);
     }
-    if (!paged) {
-      layer.self_k.reserve(num_heads);
-      layer.self_v.reserve(num_heads);
-      for (size_t h = 0; h < num_heads; ++h) {
-        layer.self_k.push_back(arena_.matrix_i8(capacity, head_dim));
-        layer.self_v.push_back(arena_.matrix_i8(capacity, head_dim));
-        layer.self_k.back().fill(0);
-        layer.self_v.back().fill(0);
-      }
-    }
+  }
+  if (!paged) {
+    auto self = arena_.matrix_i8(num_layers * num_heads * 2 * capacity,
+                                 head_dim);
+    self.fill(0);
+    dense_self_ = self.data();
   }
 
   if (paged) {
@@ -838,18 +835,14 @@ void KvCache::ensure_rows_private(size_t pos, size_t n) {
   if (last + 1 == block_table_.size()) maybe_shared_ = false;
 }
 
-int8_t* KvCache::self_row_ptr(size_t row, size_t layer, size_t head,
-                              size_t which) {
-  const uint32_t block = block_table_[row / block_rows_];
-  return pool_->row_data(block, row % block_rows_) +
-         ((layer * num_heads_ + head) * 2 + which) * head_bytes_;
-}
-
 const int8_t* KvCache::self_row_ptr(size_t row, size_t layer, size_t head,
                                     size_t which) const {
+  const size_t segment = (layer * num_heads_ + head) * 2 + which;
+  if (!paged()) {
+    return dense_self_ + (segment * capacity_ + row) * head_dim_;
+  }
   const uint32_t block = block_table_[row / block_rows_];
-  return pool_->row_data(block, row % block_rows_) +
-         ((layer * num_heads_ + head) * 2 + which) * head_bytes_;
+  return pool_->row_data(block, row % block_rows_) + segment * head_bytes_;
 }
 
 namespace {
@@ -872,41 +865,24 @@ void encode_row(const numeric::KvCodec& codec, const int8_t* src,
   }
 }
 
-/// Decodes one stored row back to int8 (the inverse read of encode_row).
-void decode_row(const numeric::KvCodec& codec, const int8_t* src,
-                size_t head_dim, int8_t* dst) {
-  const int8_t* dec = codec.decode.data();
-  if (codec.storage == numeric::KvStorage::kFp4E2M1) {
-    for (size_t j = 0; j < head_dim; j += 2) {
-      const auto byte = static_cast<uint8_t>(src[j / 2]);
-      dst[j] = dec[byte & 0x0f];
-      dst[j + 1] = dec[byte >> 4];
-    }
-  } else {
-    for (size_t j = 0; j < head_dim; ++j) {
-      dst[j] = dec[static_cast<uint8_t>(src[j])];
-    }
-  }
-}
-
 }  // namespace
 
-void KvCache::storage_roundtrip(tensor::MatrixViewI8 rows) const {
-  if (codec_ == nullptr) return;
-  const int8_t* rt = codec_->roundtrip.data();
-  int8_t* data = rows.data();
-  const size_t n = rows.rows() * rows.cols();
-  for (size_t i = 0; i < n; ++i) {
-    data[i] = rt[static_cast<uint8_t>(data[i]) ^ 0x80u];
+void KvCache::store_self_row(const int8_t* src, int8_t* dst) const {
+  if (codec_ == nullptr) {
+    std::memcpy(dst, src, head_dim_);
+  } else if (paged()) {
+    encode_row(*codec_, src, head_dim_, dst);
+  } else {
+    const int8_t* rt = codec_->roundtrip.data();
+    for (size_t j = 0; j < head_dim_; ++j) {
+      dst[j] = rt[static_cast<uint8_t>(src[j]) ^ 0x80u];
+    }
   }
 }
 
 void KvCache::scatter_self(size_t layer, size_t head, size_t pos,
                            tensor::ConstMatrixViewI8 k,
                            tensor::ConstMatrixViewI8 v) {
-  if (!paged()) {
-    throw std::logic_error("KvCache::scatter_self: dense layout");
-  }
   if (layer >= layers_.size() || head >= num_heads_ ||
       k.rows() != v.rows() || k.cols() != head_dim_ ||
       v.cols() != head_dim_) {
@@ -920,76 +896,28 @@ void KvCache::scatter_self(size_t layer, size_t head, size_t pos,
   // (layer, head) writes of the same rows see refcount 1 and scatter in
   // place.
   ensure_rows_private(pos, k.rows());
-  if (codec_ != nullptr) {
-    for (size_t r = 0; r < k.rows(); ++r) {
-      encode_row(*codec_, k.row(r).data(), head_dim_,
-                 self_row_ptr(pos + r, layer, head, 0));
-      encode_row(*codec_, v.row(r).data(), head_dim_,
-                 self_row_ptr(pos + r, layer, head, 1));
-    }
-    return;
-  }
   for (size_t r = 0; r < k.rows(); ++r) {
-    std::memcpy(self_row_ptr(pos + r, layer, head, 0), k.row(r).data(),
-                head_dim_);
-    std::memcpy(self_row_ptr(pos + r, layer, head, 1), v.row(r).data(),
-                head_dim_);
-  }
-}
-
-void KvCache::gather_self(size_t layer, size_t head, size_t rows,
-                          tensor::MatrixViewI8 k_dst,
-                          tensor::MatrixViewI8 v_dst) const {
-  if (!paged()) {
-    throw std::logic_error("KvCache::gather_self: dense layout");
-  }
-  if (layer >= layers_.size() || head >= num_heads_ ||
-      k_dst.rows() != rows || v_dst.rows() != rows ||
-      k_dst.cols() != head_dim_ || v_dst.cols() != head_dim_) {
-    throw std::invalid_argument("KvCache::gather_self: bad shape");
-  }
-  if (rows > reserved_rows()) {
-    throw std::logic_error("KvCache::gather_self: rows not reserved");
-  }
-  if (codec_ != nullptr) {
-    for (size_t r = 0; r < rows; ++r) {
-      decode_row(*codec_, self_row_ptr(r, layer, head, 0), head_dim_,
-                 k_dst.row(r).data());
-      decode_row(*codec_, self_row_ptr(r, layer, head, 1), head_dim_,
-                 v_dst.row(r).data());
-    }
-    return;
-  }
-  for (size_t r = 0; r < rows; ++r) {
-    std::memcpy(k_dst.row(r).data(), self_row_ptr(r, layer, head, 0),
-                head_dim_);
-    std::memcpy(v_dst.row(r).data(), self_row_ptr(r, layer, head, 1),
-                head_dim_);
+    store_self_row(k.row(r).data(), self_row_ptr(pos + r, layer, head, 0));
+    store_self_row(v.row(r).data(), self_row_ptr(pos + r, layer, head, 1));
   }
 }
 
 tensor::RowSpanListI8 KvCache::self_spans(
     size_t layer, size_t head, size_t which, size_t rows,
     std::span<tensor::RowSpanI8> runs) const {
-  if (!paged()) {
-    throw std::logic_error("KvCache::self_spans: dense layout");
-  }
   if (layer >= layers_.size() || head >= num_heads_ || which > 1) {
     throw std::invalid_argument("KvCache::self_spans: bad index");
   }
   if (rows > reserved_rows()) {
     throw std::logic_error("KvCache::self_spans: rows not reserved");
   }
-  if (!span_readable()) {
-    throw std::logic_error(
-        "KvCache::self_spans: packed fp4 rows are not span-readable "
-        "(use gather_self)");
-  }
-  const size_t stride = row_bytes();
+  // A dense (layer, head) K or V is one contiguous run of int8 rows; a
+  // paged one is a run per block, merged where blocks are adjacent.
+  const size_t run_rows = paged() ? block_rows_ : capacity_;
+  const size_t stride = paged() ? row_bytes() : head_dim_;
   size_t count = 0;
   for (size_t row = 0; row < rows;) {
-    const size_t in_block =
-        std::min(block_rows_ - row % block_rows_, rows - row);
+    const size_t in_block = std::min(run_rows - row % run_rows, rows - row);
     const int8_t* base = self_row_ptr(row, layer, head, which);
     if (count > 0 &&
         runs[count - 1].base + runs[count - 1].rows * stride == base) {
@@ -1004,20 +932,20 @@ tensor::RowSpanListI8 KvCache::self_spans(
     }
     row += in_block;
   }
+  // Pooled rows of a quantized format hold codes and carry their dequant
+  // table: the GEMM pack stage decodes them while packing (fused
+  // dequant). The dense arena already holds int8 values.
+  const bool codes = paged() && codec_ != nullptr;
   return {.runs = runs.first(count),
           .rows = rows,
           .cols = head_dim_,
           .row_stride = stride,
-          // fp8 rows carry their dequant table: the GEMM pack stage
-          // decodes the stored codes while packing (fused dequant).
-          .decode = codec_ != nullptr ? codec_->decode.data() : nullptr};
+          .decode = codes ? codec_->decode.data() : nullptr,
+          .nibbles = codes && storage_ == numeric::KvStorage::kFp4E2M1};
 }
 
 size_t KvCache::max_self_span_runs(size_t rows) const {
-  if (!paged()) {
-    throw std::logic_error("KvCache::max_self_span_runs: dense layout");
-  }
-  return util::ceil_div(rows, block_rows_);
+  return util::ceil_div(rows, paged() ? block_rows_ : capacity_);
 }
 
 void KvCache::begin_sequence(size_t memory_len) {

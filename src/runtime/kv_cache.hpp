@@ -11,8 +11,8 @@
 //
 // Two self-K/V layouts share one KvCache front end:
 //
-//   * dense (PR-3 layout, block_rows = 0): every head gets a private
-//     (capacity x head_dim) view carved from the cache's arena at
+//   * dense (block_rows = 0): every (layer, head) K and V gets a
+//     private capacity-row region carved from the cache's arena at
 //     configure(). Simple and contiguous, but a short sequence strands
 //     the whole capacity reservation for its slot.
 //   * paged (default): token rows live in fixed-size blocks handed out
@@ -23,6 +23,12 @@
 //     pool can be private (sized at one full sequence) or shared by
 //     many sequences, which is where the serving win lives: short
 //     sequences hold only the blocks they actually filled.
+//
+// Only KvCache knows the layout and the storage format: self rows are
+// written through scatter_self() and read through self_spans(), whose
+// span list the QK/SV engines consume in place (a dense cache is one run
+// per head, a paged cache a run per block). Callers never branch on
+// either.
 //
 // Cross K/V stays dense: it is written once per sequence at prefill and
 // sized by the memory, not by generation progress.
@@ -51,6 +57,7 @@
 #include <mutex>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "numeric/fp8.hpp"
@@ -369,11 +376,9 @@ class KvCreditLease {
   KvPoolCredit credit_;
 };
 
-/// One decoder layer's cached tensors, per attention head.
+/// One decoder layer's cached cross-attention tensors, per attention head
+/// (self K/V rows live behind KvCache::scatter_self / self_spans).
 struct LayerKv {
-  /// Dense layout only: (capacity x head_dim) each; rows [0, len) hold
-  /// cached self K/V. Empty in paged mode (rows live in the block pool).
-  std::vector<tensor::MatrixViewI8> self_k, self_v;
   /// (memory_capacity x head_dim) each; rows [0, memory_len) hold the
   /// encoder memory projected through this layer's cross K/V weights.
   std::vector<tensor::MatrixViewI8> cross_k, cross_v;
@@ -392,11 +397,13 @@ struct KvCacheOptions {
   /// row_bytes is unchanged; the read side fuses the dequant table into
   /// the GEMM pack stage via RowSpanListI8::decode). fp4 e2m1 packs TWO
   /// elements per byte — head_dim must be even — halving row_bytes and
-  /// block_bytes; its rows are not span-readable, so attention reads go
-  /// through gather_self (the runtime falls back automatically). All
-  /// non-int8 paths are deterministic: the stored code is a pure table
-  /// function of the int8 value and reads back identically on every
-  /// access (see KvCodec).
+  /// block_bytes; its rows are read in place too, the pack stage
+  /// splitting each byte into two codes (RowSpanListI8::nibbles). The
+  /// dense layout stores the round-tripped int8 values (1 byte/element)
+  /// instead of codes, so it reads back exactly what a paged sequence
+  /// decodes. All non-int8 paths are deterministic: the stored code is a
+  /// pure table function of the int8 value and reads back identically on
+  /// every access (see KvCodec).
   numeric::KvStorage storage = numeric::KvStorage::kInt8;
 };
 
@@ -434,24 +441,6 @@ class KvCache {
   size_t block_rows() const { return block_rows_; }
   /// Self-K/V storage format (KvCacheOptions::storage).
   numeric::KvStorage storage() const { return storage_; }
-  /// True when stored rows can be read in place through self_spans():
-  /// int8 and the byte-wide fp8 formats qualify; packed fp4 does not
-  /// (two elements per byte — reads must decode through gather_self).
-  bool span_readable() const {
-    return storage_ != numeric::KvStorage::kFp4E2M1;
-  }
-  /// Pool-side bytes held by `elems` cached elements under this cache's
-  /// storage format (identity for the byte-wide formats, halved for
-  /// fp4) — the conversion executed byte counters apply so they match
-  /// the storage-aware estimators.
-  size_t storage_bytes(size_t elems) const {
-    return numeric::kv_storage_bytes(elems, storage_);
-  }
-  /// Applies the storage round-trip (encode then decode) to `rows` in
-  /// place — what the DENSE layout does after appending rows, so a
-  /// dense sequence sees exactly the values a paged sequence reads back
-  /// through its encoded blocks. No-op for int8.
-  void storage_roundtrip(tensor::MatrixViewI8 rows) const;
   KvBlockPool* pool() { return pool_; }
   const KvBlockPool* pool() const { return pool_; }
   /// Rows the current block table can hold (capacity() in dense mode).
@@ -540,44 +529,37 @@ class KvCache {
     }
   }
 
-  /// Copies the new K/V rows [pos, pos + k.rows()) of (layer, head) into
-  /// their blocks (paged mode only; rows must be reserved), re-encoding
-  /// through the storage codec when the format is not int8 (fp8: one
-  /// code byte per element; fp4: two nibbles packed per byte, low
-  /// nibble = even element). Writes respect forking: a target block
-  /// shared with another cache is first made private (write-triggered
-  /// copy), so a fork never scribbles on its siblings' prefix.
+  /// Stores the new K/V rows [pos, pos + k.rows()) of (layer, head);
+  /// rows must be reserved. Paged blocks re-encode through the storage
+  /// codec when the format is not int8 (fp8: one code byte per element;
+  /// fp4: two nibbles packed per byte, low nibble = even element); the
+  /// dense arena stores the round-tripped int8 values instead. Writes
+  /// respect forking: a target block shared with another cache is first
+  /// made private (write-triggered copy), so a fork never scribbles on
+  /// its siblings' prefix.
   void scatter_self(size_t layer, size_t head, size_t pos,
                     tensor::ConstMatrixViewI8 k, tensor::ConstMatrixViewI8 v);
-  /// Copies rows [0, rows) of (layer, head) K and V into the contiguous
-  /// (rows x head_dim) views `k_dst` / `v_dst` (paged mode only),
-  /// decoding stored codes back to int8 for non-int8 storage. Kept as
-  /// the bit-exact reference for the gather-free span path below, and
-  /// the only read path for packed fp4 rows.
-  void gather_self(size_t layer, size_t head, size_t rows,
-                   tensor::MatrixViewI8 k_dst,
-                   tensor::MatrixViewI8 v_dst) const;
 
-  /// Block-strided read view of rows [0, rows) of (layer, head) self K
-  /// (`which` = 0) or V (1): fills `runs` with (base, rows) runs walking
-  /// the block table directly — adjacent pool blocks merge into one run —
-  /// and returns the span-list operand (row stride = the pooled token-row
-  /// bytes) the span-accepting engines consume in place. `runs` must hold
-  /// max_self_span_runs(rows) entries. COW-safe by construction: reading
-  /// never privatizes a block, so a fork sibling can stream a still-shared
-  /// prefix while scatter_self's write-triggered copies keep divergent
-  /// appends out of it — the spans a sequence takes always resolve
-  /// through its OWN table, never a sibling's post-divergence writes.
-  /// For fp8 storage the returned list carries the codec's dequant
-  /// table (RowSpanListI8::decode) — the GEMM pack stage decodes the
-  /// stored bytes while packing, so the consumer never sees codes.
-  /// Packed fp4 rows are not span-readable (throws std::logic_error;
-  /// check span_readable() and fall back to gather_self).
+  /// In-place read view of rows [0, rows) of (layer, head) self K
+  /// (`which` = 0) or V (1): fills `runs` with (base, rows) runs and
+  /// returns the span-list operand the span-accepting engines consume
+  /// without copying. A dense cache yields one run of int8 rows. A paged
+  /// cache walks its block table — adjacent pool blocks merge into one
+  /// run, the row stride is the pooled token-row bytes — and a quantized
+  /// format carries the codec's dequant table (RowSpanListI8::decode,
+  /// plus RowSpanListI8::nibbles for packed fp4), so the GEMM pack stage
+  /// decodes the stored codes while packing and the consumer never sees
+  /// them. `runs` must hold max_self_span_runs(rows) entries. COW-safe by
+  /// construction: reading never privatizes a block, so a fork sibling
+  /// can stream a still-shared prefix while scatter_self's
+  /// write-triggered copies keep divergent appends out of it — the spans
+  /// a sequence takes always resolve through its OWN table, never a
+  /// sibling's post-divergence writes.
   tensor::RowSpanListI8 self_spans(size_t layer, size_t head, size_t which,
                                    size_t rows,
                                    std::span<tensor::RowSpanI8> runs) const;
   /// Worst-case run count self_spans can produce for `rows` rows (one per
-  /// block before merging; paged mode only).
+  /// block before merging; one for a dense cache).
   size_t max_self_span_runs(size_t rows) const;
 
   // --- sequence bookkeeping -------------------------------------------------
@@ -595,7 +577,7 @@ class KvCache {
   const LayerKv& layer(size_t i) const { return layers_.at(i); }
 
   /// Arena bytes backing the cache storage (cross views, plus the dense
-  /// self views; paged self rows live in the pool — see self_bytes()).
+  /// self rows; paged self rows live in the pool — see self_bytes()).
   size_t bytes() const { return arena_.used(); }
   /// Self-K/V bytes this cache currently holds: the dense reservation,
   /// or the held blocks' bytes in paged mode.
@@ -606,9 +588,17 @@ class KvCache {
   /// cache (COW copies of any shared ones). No-op unless a fork left the
   /// table possibly shared.
   void ensure_rows_private(size_t pos, size_t n);
-  int8_t* self_row_ptr(size_t row, size_t layer, size_t head, size_t which);
+  /// Address of cached row `row` of (layer, head) K (`which` = 0) or V
+  /// (1), in either layout.
   const int8_t* self_row_ptr(size_t row, size_t layer, size_t head,
                              size_t which) const;
+  int8_t* self_row_ptr(size_t row, size_t layer, size_t head, size_t which) {
+    return const_cast<int8_t*>(
+        std::as_const(*this).self_row_ptr(row, layer, head, which));
+  }
+  /// Writes one head_dim-wide int8 row to `dst` in this cache's layout
+  /// and storage format (see scatter_self).
+  void store_self_row(const int8_t* src, int8_t* dst) const;
   /// Bytes per pooled token row: K and V for every (layer, head), at
   /// the storage format's width (head_bytes_ per K or V segment).
   size_t row_bytes() const {
@@ -617,6 +607,9 @@ class KvCache {
 
   WorkspaceArena arena_;
   std::vector<LayerKv> layers_;
+  /// Dense layout only: (layers x heads x 2) regions of capacity x
+  /// head_dim int8 each, carved from arena_ (nullptr when paged).
+  int8_t* dense_self_ = nullptr;
   size_t num_heads_ = 0;
   size_t head_dim_ = 0;
   /// Stored bytes per (layer, head) K or V row segment:

@@ -106,13 +106,6 @@ struct LayerOpContext {
   ref::Activation activation = ref::Activation::kRelu;
   accel::EngineStats* stats = nullptr;
   util::ThreadPool* gemm_pool = nullptr;  // optional intra-op threading
-  /// Paged self-attention streams the cached prefix through block-table
-  /// spans (gather-free, the default). true restores the
-  /// gather-into-scratch reference path — bit-identical, O(prefix bytes)
-  /// of extra memcpy per head per layer per step, counted in
-  /// EngineStats::gathered_bytes (the decode-latency bench runs both
-  /// modes in one process for the before/after record).
-  bool kv_gather_fallback = false;
 };
 
 /// One descriptor for all three attention shapes. Exactly one of
@@ -227,23 +220,23 @@ AttentionBlockDesc decoder_cross_attention_desc(
 // self-attention K/V of new rows are appended in place and the
 // QK/softmax/SV stages span the cached prefix, so a decode step does
 // O(len) attention work instead of recomputing the whole O(len^2)
-// square. In the dense layout the QKV engine writes straight into the
-// cache views; in the paged layout the new rows are scattered through
-// the sequence's block table and the QK/SV engines then read the cached
-// prefix BLOCK-STRIDED: KvCache::self_spans hands the engines (base,
-// rows) runs walking the block table in place, GEMM packing streams the
-// panels straight from block storage, and the fused
-// dequant→softmax→requant pass consumes the QK accumulator tile directly
-// — no gather copy, no total x head_dim scratch, no materialized logits
-// matrix. (ctx.kv_gather_fallback restores the gather-into-scratch
-// reference path.) The scatter respects copy-on-write forking
-// (KvCache::fork_from): writing into a block still shared with a forked
-// sibling first copies it, so divergent appends never corrupt the shared
-// prompt prefix — and because reads never privatize, the span path is
-// COW-safe by construction. int32 accumulation is exact, every op is
-// row-wise, packing order is immaterial and scatter is a byte copy, so
-// BOTH layouts — block-strided or gathered, and COW-forked caches — are
-// bit-identical to the full-recompute path, pinned by
+// square. One read path serves every layout and storage format: the new
+// rows are stored through KvCache::scatter_self, and the QK/SV engines
+// read the cached prefix in place through the (base, rows) runs
+// KvCache::self_spans hands them — one run for the dense layout, a run
+// per block walking a paged block table. GEMM packing streams the
+// panels straight from cache storage (decoding fp8/fp4 codes as it
+// packs), and the fused dequant→softmax→requant pass consumes the QK
+// accumulator tile directly — no gather copy, no total x head_dim
+// scratch, no materialized logits matrix. The store respects
+// copy-on-write forking (KvCache::fork_from): writing into a block still
+// shared with a forked sibling first copies it, so divergent appends
+// never corrupt the shared prompt prefix — and because reads never
+// privatize, the span path is COW-safe by construction. int32
+// accumulation is exact, every op is row-wise, packing order is
+// immaterial and the store is a per-element table function, so both
+// layouts — and COW-forked caches — are bit-identical to the
+// full-recompute path (which keeps the contiguous engines), pinned by
 // tests/test_generation.cpp, tests/test_kv_paging.cpp and
 // tests/test_kv_cow.cpp.
 
@@ -251,7 +244,7 @@ AttentionBlockDesc decoder_cross_attention_desc(
 /// [pos, pos+n)) with K/V appended into `cache` rows [pos, pos+n) of
 /// layer `layer_index` and attention spanning the pos+n cached rows.
 /// `desc.self_heads` must be set; `desc.causal` is implied (row i masks
-/// columns > pos+i). Paged caches must have rows [0, pos+n) reserved.
+/// columns > pos+i). Rows [0, pos+n) must be reserved.
 void run_self_attention_cached(const LayerOpContext& ctx,
                                const AttentionBlockDesc& desc,
                                tensor::ConstMatrixViewI8 x, KvCache& cache,

@@ -121,12 +121,58 @@ inline SpanRowCursor span_row_cursor(const RowSpanListI8& list, size_t row) {
   return cur;
 }
 
+/// Element readers for a span-list B operand: load(row, j) returns
+/// element j of the row starting at `row`. The span pack functions and
+/// the row-direct loops read B only through one of these, so one loop
+/// body serves every stored format.
+
+/// The bytes are int8 values.
+struct Int8Load {
+  int8_t operator()(const int8_t* row, size_t j) const { return row[j]; }
+};
+
+/// The bytes are stored codes, read through a 256-entry dequant table.
+struct LutLoad {
+  const int8_t* lut;
+  int8_t operator()(const int8_t* row, size_t j) const {
+    return lut[static_cast<uint8_t>(row[j])];
+  }
+};
+
+/// Two 4-bit codes per byte (low nibble = even element), each read
+/// through the dequant table.
+struct NibbleLutLoad {
+  const int8_t* lut;
+  int8_t operator()(const int8_t* row, size_t j) const {
+    const auto byte = static_cast<uint8_t>(row[j / 2]);
+    return lut[j % 2 == 0 ? byte & 0x0f : byte >> 4];
+  }
+};
+
+/// Calls `f` with the load functor that reads `b`'s elements — the one
+/// place a span list's storage format is dispatched on.
+template <typename F>
+void with_span_load(const RowSpanListI8& b, const F& f) {
+  if (b.nibbles) {
+    f(NibbleLutLoad{b.decode});
+  } else if (b.decode != nullptr) {
+    f(LutLoad{b.decode});
+  } else {
+    f(Int8Load{});
+  }
+}
+
 /// pack_b_block over a span-list operand (list.rows x list.cols = k x n):
 /// B's rows stream straight out of the runs' storage — packing is the
 /// only stage that touches B element-by-element, so reading the runs here
 /// makes the whole GEMM gather-free while the micro-kernel stays put.
-inline void pack_b_block_spans(const RowSpanListI8& b, size_t k0, size_t kc,
-                               size_t n, int8_t* dst) {
+/// Stored codes become int8 values through `load` in the same pass, so
+/// the micro-kernel and everything downstream see plain int8. Zero
+/// padding stays literal 0: padded lanes are synthesized in the decoded
+/// domain.
+template <typename Load>
+void pack_b_block_spans(const RowSpanListI8& b, size_t k0, size_t kc,
+                        size_t n, Load load, int8_t* dst) {
   // Row-major walk: each block-strided source row (potentially a whole
   // pooled token row away from its neighbor) is touched exactly once and
   // scattered across every column panel — the panel writes land in the
@@ -140,7 +186,7 @@ inline void pack_b_block_spans(const RowSpanListI8& b, size_t k0, size_t kc,
       const size_t j0 = cp * kGemmNr;
       const size_t w = std::min(kGemmNr, n - j0);
       int8_t* panel_row = dst + cp * kc * kGemmNr + p * kGemmNr;
-      for (size_t j = 0; j < w; ++j) panel_row[j] = src[j0 + j];
+      for (size_t j = 0; j < w; ++j) panel_row[j] = load(src, j0 + j);
       for (size_t j = w; j < kGemmNr; ++j) panel_row[j] = 0;
     }
     cur.advance();
@@ -151,8 +197,9 @@ inline void pack_b_block_spans(const RowSpanListI8& b, size_t k0, size_t kc,
 /// packed column j is list row j (K in Q.K^T), transposed during packing
 /// exactly like pack_bt_block. Rows ascend monotonically across the
 /// column panels, so one cursor walk per K block covers the whole pack.
-inline void pack_bt_block_spans(const RowSpanListI8& bt, size_t k0,
-                                size_t kc, size_t n, int8_t* dst) {
+template <typename Load>
+void pack_bt_block_spans(const RowSpanListI8& bt, size_t k0, size_t kc,
+                         size_t n, Load load, int8_t* dst) {
   const size_t col_panels = util::ceil_div(n, kGemmNr);
   SpanRowCursor cur = span_row_cursor(bt, 0);
   for (size_t cp = 0; cp < col_panels; ++cp) {
@@ -160,57 +207,9 @@ inline void pack_bt_block_spans(const RowSpanListI8& bt, size_t k0,
     const size_t w = std::min(kGemmNr, n - j0);
     int8_t* panel = dst + cp * kc * kGemmNr;
     for (size_t j = 0; j < w; ++j) {
-      const int8_t* src = cur.row(bt.row_stride) + k0;
-      for (size_t p = 0; p < kc; ++p) panel[p * kGemmNr + j] = src[p];
-      cur.advance();
-    }
-    for (size_t j = w; j < kGemmNr; ++j) {
-      for (size_t p = 0; p < kc; ++p) panel[p * kGemmNr + j] = 0;
-    }
-  }
-}
-
-/// pack_b_block_spans with a fused 256-entry dequant table: the spanned
-/// bytes are stored codes (fp8 KV rows) and become int8 values during
-/// the one pass that already touches each byte — the micro-kernel and
-/// everything downstream see plain int8, so the quantized-storage GEMM
-/// is the int8 GEMM with a table lookup folded into packing. Zero
-/// padding stays literal 0: padded lanes are synthesized in the DECODED
-/// domain, exactly like the int8 pack.
-inline void pack_b_block_spans_lut(const RowSpanListI8& b, size_t k0,
-                                   size_t kc, size_t n, const int8_t* lut,
-                                   int8_t* dst) {
-  const size_t col_panels = util::ceil_div(n, kGemmNr);
-  SpanRowCursor cur = span_row_cursor(b, k0);
-  for (size_t p = 0; p < kc; ++p) {
-    const int8_t* src = cur.row(b.row_stride);
-    for (size_t cp = 0; cp < col_panels; ++cp) {
-      const size_t j0 = cp * kGemmNr;
-      const size_t w = std::min(kGemmNr, n - j0);
-      int8_t* panel_row = dst + cp * kc * kGemmNr + p * kGemmNr;
-      for (size_t j = 0; j < w; ++j) {
-        panel_row[j] = lut[static_cast<uint8_t>(src[j0 + j])];
-      }
-      for (size_t j = w; j < kGemmNr; ++j) panel_row[j] = 0;
-    }
-    cur.advance();
-  }
-}
-
-/// pack_bt_block_spans with the same fused dequant table.
-inline void pack_bt_block_spans_lut(const RowSpanListI8& bt, size_t k0,
-                                    size_t kc, size_t n, const int8_t* lut,
-                                    int8_t* dst) {
-  const size_t col_panels = util::ceil_div(n, kGemmNr);
-  SpanRowCursor cur = span_row_cursor(bt, 0);
-  for (size_t cp = 0; cp < col_panels; ++cp) {
-    const size_t j0 = cp * kGemmNr;
-    const size_t w = std::min(kGemmNr, n - j0);
-    int8_t* panel = dst + cp * kc * kGemmNr;
-    for (size_t j = 0; j < w; ++j) {
-      const int8_t* src = cur.row(bt.row_stride) + k0;
+      const int8_t* src = cur.row(bt.row_stride);
       for (size_t p = 0; p < kc; ++p) {
-        panel[p * kGemmNr + j] = lut[static_cast<uint8_t>(src[p])];
+        panel[p * kGemmNr + j] = load(src, k0 + p);
       }
       cur.advance();
     }
@@ -293,17 +292,6 @@ void gemm_driver_into(const T* a, size_t m, size_t k, size_t n, Acc* c,
 // over B rows when it is stored (k x n). Integer accumulation is exact, so
 // the sums are the packed path's bit for bit.
 
-/// Reads a B byte as its int8 value.
-struct Int8Load {
-  int16_t operator()(int8_t x) const { return x; }
-};
-
-/// Reads a B byte as a stored code through a 256-entry dequant table.
-struct LutLoad {
-  const int8_t* lut;
-  int16_t operator()(int8_t x) const { return lut[static_cast<uint8_t>(x)]; }
-};
-
 /// c(i,j) = sum_p a(i,p) * bt(j,p): list row j is B^T's row j (k wide).
 /// Each K block of A's rows is widened to int16 once and reused against
 /// every B row, which lets the dot product lower to pairwise widening
@@ -320,11 +308,11 @@ void row_direct_dot(const int8_t* a, size_t m, size_t k,
     }
     SpanRowCursor cur = span_row_cursor(bt, 0);
     for (size_t j = 0; j < n; ++j) {
-      const int8_t* brow = cur.row(bt.row_stride) + k0;
+      const int8_t* brow = cur.row(bt.row_stride);
       for (size_t i = 0; i < m; ++i) {
         int32_t sum = 0;
         for (size_t p = 0; p < kc; ++p) {
-          sum += int32_t{aw[i][p]} * int32_t{load(brow[p])};
+          sum += int32_t{aw[i][p]} * int32_t{load(brow, k0 + p)};
         }
         c[i * n + j] += sum;
       }
@@ -352,7 +340,7 @@ void row_direct_axpy(const int8_t* a, size_t m, size_t k,
       const int32_t a1 = a[i * k + p + 1];
       int32_t* crow = c + i * n;
       for (size_t j = 0; j < n; ++j) {
-        crow[j] += a0 * load(r0[j]) + a1 * load(r1[j]);
+        crow[j] += a0 * load(r0, j) + a1 * load(r1, j);
       }
     }
   }
@@ -361,21 +349,22 @@ void row_direct_axpy(const int8_t* a, size_t m, size_t k,
     for (size_t i = 0; i < m; ++i) {
       const int32_t a0 = a[i * k + p];
       int32_t* crow = c + i * n;
-      for (size_t j = 0; j < n; ++j) crow[j] += a0 * load(r0[j]);
+      for (size_t j = 0; j < n; ++j) crow[j] += a0 * load(r0, j);
     }
   }
 }
 
 /// The int8 driver every qgemm entry point runs through, and the one place
-/// the path is chosen: fewer than kGemmMr rows of A go row-direct, the
-/// rest pack through `pack_b` into the 4x8 micro-kernel. `b` addresses B
-/// in its native layout (a dense operand is a one-run list, a dequant
-/// table rides on `b.decode`); `b_transposed` says it is stored (n x k).
+/// the path is chosen: fewer than kGemmMr rows of A go row-direct, reading
+/// B's elements through `load`; the rest pack through `pack_b` into the
+/// 4x8 micro-kernel. `b` addresses B in its native layout (a dense
+/// operand is a one-run list); `b_transposed` says it is stored (n x k).
 /// `c` is the (a.rows x n) output, `bbuf` the packed-B scratch.
-template <typename PackB>
+template <typename Load, typename PackB>
 void qgemm_driver_into(ConstMatrixViewI8 a, const RowSpanListI8& b,
-                       bool b_transposed, MatrixViewI32 c, int8_t* bbuf,
-                       util::ThreadPool* pool, const PackB& pack_b) {
+                       bool b_transposed, Load load, MatrixViewI32 c,
+                       int8_t* bbuf, util::ThreadPool* pool,
+                       const PackB& pack_b) {
   const size_t m = a.rows();
   const size_t k = a.cols();
   const size_t n = b_transposed ? b.rows : b.cols;
@@ -386,17 +375,10 @@ void qgemm_driver_into(ConstMatrixViewI8 a, const RowSpanListI8& b,
   }
   c.fill(0);
   if (m == 0 || n == 0 || k == 0) return;
-  auto row_direct = [&](auto load) {
-    if (b_transposed) {
-      row_direct_dot(a.data(), m, k, b, load, c.data());
-    } else {
-      row_direct_axpy(a.data(), m, k, b, load, c.data());
-    }
-  };
-  if (b.decode != nullptr) {
-    row_direct(LutLoad{b.decode});
+  if (b_transposed) {
+    row_direct_dot(a.data(), m, k, b, load, c.data());
   } else {
-    row_direct(Int8Load{});
+    row_direct_axpy(a.data(), m, k, b, load, c.data());
   }
 }
 

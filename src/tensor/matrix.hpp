@@ -175,21 +175,27 @@ struct RowSpanI8 {
 };
 
 /// A logical (rows x cols) int8 matrix stored as a sequence of row runs —
-/// the read view a paged KV block table exposes without gathering into
-/// contiguous scratch. Each row is `cols` contiguous elements; consecutive
-/// rows within a run are `row_stride` elements apart (>= cols, so rows of
-/// a wider record — e.g. a pooled KV token row — can be viewed in place).
+/// the read view a KV cache exposes over its stored rows without
+/// gathering them into contiguous scratch. Each row is `cols` elements
+/// stored contiguously; consecutive rows within a run are `row_stride`
+/// BYTES apart (>= the row's stored bytes, so rows of a wider record —
+/// e.g. a pooled KV token row — can be viewed in place).
 struct RowSpanListI8 {
   std::span<const RowSpanI8> runs;
   size_t rows = 0;        // total rows across all runs
   size_t cols = 0;        // elements per row
-  size_t row_stride = 0;  // elements between consecutive rows in a run
+  size_t row_stride = 0;  // bytes between consecutive rows in a run
   /// Optional 256-entry dequant table: when set, the spanned bytes are
   /// stored codes (e.g. fp8) and every element reads as
-  /// `decode[uint8_t(byte)]`. The GEMM pack stage applies it while
-  /// packing, fusing dequant into the one pass that already touches
-  /// each byte; nullptr means the bytes ARE int8 values.
+  /// `decode[code]`. The GEMM pack stage applies it while packing,
+  /// fusing dequant into the one pass that already touches each
+  /// element; nullptr means the bytes ARE int8 values.
   const int8_t* decode = nullptr;
+  /// Two codes per byte (packed fp4): element j is the low nibble of
+  /// byte j/2 when j is even, the high nibble when odd, and reads as
+  /// `decode[nibble]`. Requires `decode` and an even `cols`; a row then
+  /// stores cols/2 bytes.
+  bool nibbles = false;
 };
 
 /// Deep copy of a view into a fresh owning Matrix (trace capture).

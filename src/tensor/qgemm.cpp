@@ -73,7 +73,13 @@ void check_span_list(const RowSpanListI8& list, const char* name) {
     throw std::invalid_argument(std::string(name) +
                                 ": span run rows do not sum to rows");
   }
-  if (list.rows > 0 && list.row_stride < list.cols) {
+  if (list.nibbles && (list.cols % 2 != 0 || list.decode == nullptr)) {
+    throw std::invalid_argument(
+        std::string(name) +
+        ": nibble spans need an even row width and a dequant table");
+  }
+  const size_t row_bytes = list.nibbles ? list.cols / 2 : list.cols;
+  if (list.rows > 0 && list.row_stride < row_bytes) {
     throw std::invalid_argument(std::string(name) +
                                 ": span row stride below row width");
   }
@@ -100,21 +106,17 @@ void run_spans(ConstMatrixViewI8 a, const RowSpanListI8& b, bool b_transposed,
                MatrixViewI32 c, std::span<int8_t> pack_buf,
                util::ThreadPool* pool) {
   const size_t n = b_transposed ? b.rows : b.cols;
-  detail::qgemm_driver_into(
-      a, b, b_transposed, c, pack_buf.data(), pool,
-      [&](size_t k0, size_t kc, int8_t* dst) {
-        if (b_transposed) {
-          if (b.decode != nullptr) {
-            detail::pack_bt_block_spans_lut(b, k0, kc, n, b.decode, dst);
+  detail::with_span_load(b, [&](auto load) {
+    detail::qgemm_driver_into(
+        a, b, b_transposed, load, c, pack_buf.data(), pool,
+        [&](size_t k0, size_t kc, int8_t* dst) {
+          if (b_transposed) {
+            detail::pack_bt_block_spans(b, k0, kc, n, load, dst);
           } else {
-            detail::pack_bt_block_spans(b, k0, kc, n, dst);
+            detail::pack_b_block_spans(b, k0, kc, n, load, dst);
           }
-        } else if (b.decode != nullptr) {
-          detail::pack_b_block_spans_lut(b, k0, kc, n, b.decode, dst);
-        } else {
-          detail::pack_b_block_spans(b, k0, kc, n, dst);
-        }
-      });
+        });
+  });
 }
 
 }  // namespace
@@ -124,7 +126,8 @@ void qgemm_into(ConstMatrixViewI8 a, ConstMatrixViewI8 b, MatrixViewI32 c,
   check_into_args(a, b.rows(), b.cols(), c, pack_buf, "qgemm_into");
   const RowSpanI8 rows{b.data(), b.rows()};
   detail::qgemm_driver_into(
-      a, one_run(b, rows), false, c, pack_buf.data(), pool,
+      a, one_run(b, rows), false, detail::Int8Load{}, c, pack_buf.data(),
+      pool,
       [&](size_t k0, size_t kc, int8_t* dst) {
         detail::pack_b_block(b, k0, kc, b.cols(), dst);
       });
@@ -135,7 +138,8 @@ void qgemm_bt_into(ConstMatrixViewI8 a, ConstMatrixViewI8 bt, MatrixViewI32 c,
   check_into_args(a, bt.cols(), bt.rows(), c, pack_buf, "qgemm_bt_into");
   const RowSpanI8 rows{bt.data(), bt.rows()};
   detail::qgemm_driver_into(
-      a, one_run(bt, rows), true, c, pack_buf.data(), pool,
+      a, one_run(bt, rows), true, detail::Int8Load{}, c, pack_buf.data(),
+      pool,
       [&](size_t k0, size_t kc, int8_t* dst) {
         detail::pack_bt_block(bt, k0, kc, bt.rows(), dst);
       });

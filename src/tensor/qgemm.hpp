@@ -68,6 +68,9 @@ void qgemm_bt_into(ConstMatrixViewI8 a, ConstMatrixViewI8 bt, MatrixViewI32 c,
 /// row-direct loops for fewer than 4 rows of A); the packed layout and
 /// micro-kernel are unchanged, making the result bit-identical to
 /// gathering the runs into a contiguous matrix first.
+/// A list carrying a dequant table (RowSpanListI8::decode, optionally
+/// with two codes per byte — RowSpanListI8::nibbles) is decoded in the
+/// same pass, bit-identical to decoding into an int8 matrix first.
 /// qgemm_spans_into treats the list as the (k x n) B (c = a * b);
 /// qgemm_bt_spans_into as the (n x k) B^T (c = a * bt^T).
 void qgemm_spans_into(ConstMatrixViewI8 a, const RowSpanListI8& b,

@@ -80,19 +80,25 @@ TEST(GenerationSession, DecodeStepsMatchFullRecomputeRows) {
   const auto rows =
       random_input(fx.cfg.seq_len, fx.cfg.d_model, 61);  // token stream
 
-  runtime::GenerationSession session(fx.acfg, fx.qd);
-  tensor::MatrixF states;
-  session.prefill(rows.slice_rows(0, 1), fx.memory, states);
+  // Both layouts: the paged default and the dense one-run span.
+  for (const size_t block_rows : {size_t{16}, size_t{0}}) {
+    runtime::GenerationOptions opts;
+    opts.kv_block_rows = block_rows;
+    runtime::GenerationSession session(fx.acfg, fx.qd, nullptr, opts);
+    tensor::MatrixF states;
+    session.prefill(rows.slice_rows(0, 1), fx.memory, states);
 
-  tensor::MatrixF state;
-  for (size_t t = 1; t < fx.cfg.seq_len; ++t) {
-    session.decode_step(rows.slice_rows(t, 1), state);
-    const auto full = acc.forward(rows.slice_rows(0, t + 1), fx.memory);
-    for (size_t c = 0; c < fx.cfg.d_model; ++c) {
-      ASSERT_EQ(state(0, c), full(t, c)) << "position " << t;
+    tensor::MatrixF state;
+    for (size_t t = 1; t < fx.cfg.seq_len; ++t) {
+      session.decode_step(rows.slice_rows(t, 1), state);
+      const auto full = acc.forward(rows.slice_rows(0, t + 1), fx.memory);
+      for (size_t c = 0; c < fx.cfg.d_model; ++c) {
+        ASSERT_EQ(state(0, c), full(t, c))
+            << "position " << t << " block_rows " << block_rows;
+      }
     }
+    EXPECT_EQ(session.position(), fx.cfg.seq_len);
   }
-  EXPECT_EQ(session.position(), fx.cfg.seq_len);
 }
 
 TEST(GenerationSession, GreedyDecodeEmitsIdenticalTokens) {
@@ -282,56 +288,73 @@ TEST(GenerationPerf, DecodeStepMacsMatchExecutionPerStep) {
   }
 }
 
-TEST(GenerationPerf, BlockStridedDecodeMovesZeroGatherBytes) {
-  // The block-strided default: paged decode streams K/V straight out of
-  // the block table, so EngineStats must report ZERO gathered bytes
-  // across prefill + a full decode-to-capacity, while span_runs counts
-  // the block-table runs the span engines streamed.
+TEST(GenerationPerf, BlockStridedDecodeMatchesDenseSpanRuns) {
+  // One read path for both layouts: a paged session streams K/V through
+  // its block table (a run per block, so span_runs grows with blocks),
+  // a dense one through exactly one run per QK/SV engine call — and the
+  // two emit bit-identical states across prefill + a full
+  // decode-to-capacity.
   Fixture fx;
-  accel::EngineStats stats;
-  runtime::GenerationOptions opts;
-  opts.kv_block_rows = 4;
-  runtime::GenerationSession session(fx.acfg, fx.qd, &stats, opts);
-  ASSERT_TRUE(session.cache().paged());
-  tensor::MatrixF states, state;
-  session.prefill(random_input(3, fx.cfg.d_model, 90), fx.memory, states);
-  for (uint32_t pos = 3; pos < fx.cfg.seq_len; ++pos) {
-    session.decode_step(random_input(1, fx.cfg.d_model, 91 + pos), state);
+  accel::EngineStats paged_stats, dense_stats;
+  runtime::GenerationOptions paged_opts;
+  paged_opts.kv_block_rows = 4;
+  runtime::GenerationSession paged(fx.acfg, fx.qd, &paged_stats, paged_opts);
+  runtime::GenerationOptions dense_opts;
+  dense_opts.kv_block_rows = 0;
+  runtime::GenerationSession dense(fx.acfg, fx.qd, &dense_stats, dense_opts);
+  ASSERT_TRUE(paged.cache().paged());
+  ASSERT_FALSE(dense.cache().paged());
+  tensor::MatrixF ps, ds;
+  const auto prompt = random_input(3, fx.cfg.d_model, 90);
+  paged.prefill(prompt, fx.memory, ps);
+  dense.prefill(prompt, fx.memory, ds);
+  ASSERT_EQ(ps, ds);
+  size_t passes = 1;
+  for (uint32_t pos = 3; pos < fx.cfg.seq_len; ++pos, ++passes) {
+    const auto token = random_input(1, fx.cfg.d_model, 91 + pos);
+    paged.decode_step(token, ps);
+    dense.decode_step(token, ds);
+    ASSERT_EQ(ps, ds) << "position " << pos;
   }
-  EXPECT_EQ(stats.gathered_bytes, 0u);
-  EXPECT_GT(stats.span_runs, 0u);
+  EXPECT_GT(paged_stats.span_runs, dense_stats.span_runs);
+  EXPECT_EQ(dense_stats.span_runs,
+            passes * 2 * fx.cfg.num_heads * fx.cfg.num_layers);
+  EXPECT_EQ(paged_stats.macs, dense_stats.macs);
 }
 
-TEST(GenerationPerf, GatherFallbackBytesMatchModelPerStep) {
-  // The legacy gather fallback's executed copy volume must match, step
-  // by step, both the decode-step cycle model's bytes_loaded
-  // (kv_gather_fallback = true adds the self_gather stage) and the
-  // footprint model's gather_bytes_per_step — while the block-strided
-  // model keeps predicting zero.
+TEST(GenerationPerf, StridedDecodeMatchesDenseAndModelPerStep) {
+  // Per step, the paged session's executed MACs equal the dense
+  // session's and the decode-step model's, its states equal the dense
+  // session's, and the model moves zero bytes for an int8 cache (K/V
+  // are read in place — no copy exists to count).
   Fixture fx;
-  accel::EngineStats stats;
+  accel::EngineStats stats, dense_stats;
   runtime::GenerationOptions opts;
   opts.kv_block_rows = 4;
-  opts.kv_gather_fallback = true;
   runtime::GenerationSession session(fx.acfg, fx.qd, &stats, opts);
+  runtime::GenerationOptions dense_opts;
+  dense_opts.kv_block_rows = 0;
+  runtime::GenerationSession dense(fx.acfg, fx.qd, &dense_stats, dense_opts);
   const auto mem_len = static_cast<uint32_t>(fx.memory.rows());
-  tensor::MatrixF states, state;
-  session.prefill(random_input(1, fx.cfg.d_model, 95), fx.memory, states);
-  uint64_t before = stats.gathered_bytes;
+  tensor::MatrixF states, state, dense_state;
+  const auto prompt = random_input(1, fx.cfg.d_model, 95);
+  session.prefill(prompt, fx.memory, states);
+  dense.prefill(prompt, fx.memory, dense_state);
+  uint64_t before = stats.macs;
+  uint64_t dense_before = dense_stats.macs;
   for (uint32_t pos = 1; pos < fx.cfg.seq_len; ++pos) {
-    session.decode_step(random_input(1, fx.cfg.d_model, 96 + pos), state);
-    const uint64_t moved = stats.gathered_bytes - before;
-    before = stats.gathered_bytes;
+    const auto token = random_input(1, fx.cfg.d_model, 96 + pos);
+    session.decode_step(token, state);
+    dense.decode_step(token, dense_state);
+    ASSERT_EQ(state, dense_state) << "position " << pos;
     const auto step = accel::estimate_decode_step_performance(
-        fx.acfg, fx.cfg, pos, mem_len, /*kv_gather_fallback=*/true);
-    EXPECT_EQ(moved, step.bytes_loaded) << "position " << pos;
-    const auto fp = accel::estimate_kv_footprint(fx.cfg, pos + 1, 4);
-    EXPECT_EQ(moved, fp.gather_bytes_per_step) << "position " << pos;
-    EXPECT_EQ(accel::estimate_decode_step_performance(fx.acfg, fx.cfg, pos,
-                                                      mem_len)
-                  .bytes_loaded,
-              0u)
+        fx.acfg, fx.cfg, pos, mem_len);
+    EXPECT_EQ(stats.macs - before, step.macs) << "position " << pos;
+    EXPECT_EQ(dense_stats.macs - dense_before, step.macs)
         << "position " << pos;
+    EXPECT_EQ(step.bytes_loaded, 0u) << "position " << pos;
+    before = stats.macs;
+    dense_before = dense_stats.macs;
   }
 }
 

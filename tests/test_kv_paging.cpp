@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstring>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "accel/decoder_model.hpp"
@@ -115,9 +116,27 @@ TEST(KvCache, LayoutGuards) {
   dense.configure(1, 2, 8, 4, 4, runtime::KvCacheOptions{.block_rows = 0});
   EXPECT_FALSE(dense.paged());
   EXPECT_TRUE(dense.try_reserve_rows(4));  // dense always covers capacity
+  // Both layouts take rows through scatter_self and hand them out through
+  // self_spans: a dense (layer, head) K or V is one run of int8 rows.
   tensor::MatrixI8 rows(2, 8);
-  EXPECT_THROW(dense.scatter_self(0, 0, 0, rows, rows), std::logic_error);
-  EXPECT_THROW(dense.gather_self(0, 0, 2, rows, rows), std::logic_error);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    rows.data()[i] = static_cast<int8_t>(i * 7 - 50);
+  }
+  dense.scatter_self(0, 1, 2, rows, rows);
+  EXPECT_THROW(dense.scatter_self(0, 1, 3, rows, rows), std::logic_error);
+  ASSERT_EQ(dense.max_self_span_runs(4), 1u);
+  tensor::RowSpanI8 run;
+  const tensor::RowSpanListI8 v = dense.self_spans(0, 1, 1, 4, {&run, 1});
+  ASSERT_EQ(v.runs.size(), 1u);
+  EXPECT_EQ(v.rows, 4u);
+  EXPECT_EQ(v.row_stride, 8u);
+  EXPECT_EQ(v.decode, nullptr);
+  EXPECT_FALSE(v.nibbles);
+  for (size_t r = 0; r < 2; ++r) {
+    for (size_t c = 0; c < 8; ++c) {
+      EXPECT_EQ(run.base[(2 + r) * 8 + c], rows(r, c));
+    }
+  }
 
   // A dense cache cannot take a pool, and a paged cache rejects a pool
   // whose row geometry does not match the stack.
@@ -136,59 +155,79 @@ TEST(KvCache, LayoutGuards) {
 
 // --- paged == dense bit-identity (the tentpole invariant) -------------------
 
-/// Runs prefill(T rows) + decode-to-capacity on a dense and a paged
-/// session and asserts every emitted state matches bit for bit.
+/// The storage formats every paged == dense sweep covers: the int8
+/// reference, a byte-wide fp8 format and packed fp4 (two codes a byte).
+constexpr numeric::KvStorage kSweepStorages[] = {
+    numeric::KvStorage::kInt8, numeric::KvStorage::kFp8E4M3,
+    numeric::KvStorage::kFp4E2M1};
+
+/// Runs prefill(T rows, in `prefill_chunk`-row passes; 0 = one pass) +
+/// decode-to-capacity on a dense and a paged session storing K/V as
+/// `storage`, and asserts every emitted state matches bit for bit.
+/// Prefill passes of 4+ rows run the packed GEMM path over the cached
+/// spans; 1-row decode steps run the row-direct path.
 void expect_paged_matches_dense(const PagingFixture& fx, size_t t_rows,
-                                size_t block_rows, uint64_t seed) {
+                                size_t block_rows, uint64_t seed,
+                                numeric::KvStorage storage,
+                                size_t prefill_chunk = 0) {
+  SCOPED_TRACE(std::string(numeric::kv_storage_name(storage)) +
+               " T=" + std::to_string(t_rows) +
+               " bs=" + std::to_string(block_rows) +
+               " chunk=" + std::to_string(prefill_chunk));
   const auto prefix = random_input(t_rows, fx.cfg.d_model, seed);
   const auto tokens =
       random_input(fx.cfg.seq_len, fx.cfg.d_model, seed + 1);
 
   runtime::GenerationOptions dense_opts;
   dense_opts.kv_block_rows = 0;  // PR-3 dense layout
+  dense_opts.prefill_chunk = prefill_chunk;
+  dense_opts.kv_storage = storage;
   runtime::GenerationSession dense(fx.acfg, fx.qd, nullptr, dense_opts);
 
-  runtime::GenerationOptions paged_opts;
+  accel::EngineStats paged_stats;
+  runtime::GenerationOptions paged_opts = dense_opts;
   paged_opts.kv_block_rows = block_rows;
-  runtime::GenerationSession paged(fx.acfg, fx.qd, nullptr, paged_opts);
+  runtime::GenerationSession paged(fx.acfg, fx.qd, &paged_stats, paged_opts);
   ASSERT_TRUE(paged.cache().paged());
 
   tensor::MatrixF dense_states, paged_states;
   dense.prefill(prefix, fx.memory, dense_states);
   paged.prefill(prefix, fx.memory, paged_states);
-  ASSERT_EQ(paged_states, dense_states)
-      << "prefill T=" << t_rows << " bs=" << block_rows;
+  ASSERT_EQ(paged_states, dense_states) << "prefill";
 
   tensor::MatrixF ds, ps;
   for (size_t t = t_rows; t < fx.cfg.seq_len; ++t) {
     const auto token = tokens.slice_rows(t, 1);
     dense.decode_step(token, ds);
     paged.decode_step(token, ps);
-    ASSERT_EQ(ps, ds) << "pos " << t << " T=" << t_rows
-                      << " bs=" << block_rows;
+    ASSERT_EQ(ps, ds) << "pos " << t;
   }
-  // The paged session held exactly ceil(rows / bs) blocks at the end.
+  // The paged session held exactly ceil(rows / bs) blocks at the end and
+  // read them in place through block-table runs.
   EXPECT_EQ(paged.cache().block_table().size(),
             (fx.cfg.seq_len + block_rows - 1) / block_rows);
+  EXPECT_GT(paged_stats.span_runs, 0u);
 }
 
 TEST(KvPaging, BoundaryStraddlingTriplesAreBitIdentical) {
   // Hand-picked edges: single-token blocks, prompts ending exactly on a
   // block boundary, one past it, one before it, a block larger than the
   // whole capacity, and a prompt filling capacity outright.
-  {
-    PagingFixture fx(8, 210);
-    expect_paged_matches_dense(fx, 5, 1, 300);   // single-token blocks
-    expect_paged_matches_dense(fx, 4, 4, 301);   // prompt == boundary
-    expect_paged_matches_dense(fx, 5, 4, 302);   // one past the boundary
-    expect_paged_matches_dense(fx, 3, 4, 303);   // one before the boundary
-    expect_paged_matches_dense(fx, 3, 16, 304);  // block > capacity
-    expect_paged_matches_dense(fx, 8, 4, 305);   // prompt fills capacity
-  }
-  {
-    PagingFixture fx(13, 211);  // capacity not a multiple of any block
-    expect_paged_matches_dense(fx, 7, 4, 306);
-    expect_paged_matches_dense(fx, 12, 5, 307);
+  for (const numeric::KvStorage s : kSweepStorages) {
+    {
+      PagingFixture fx(8, 210);
+      expect_paged_matches_dense(fx, 5, 1, 300, s);   // single-token blocks
+      expect_paged_matches_dense(fx, 4, 4, 301, s);   // prompt == boundary
+      expect_paged_matches_dense(fx, 5, 4, 302, s);   // one past boundary
+      expect_paged_matches_dense(fx, 3, 4, 303, s);   // one before it
+      expect_paged_matches_dense(fx, 3, 16, 304, s);  // block > capacity
+      expect_paged_matches_dense(fx, 8, 4, 305, s);   // prompt fills cap
+    }
+    {
+      PagingFixture fx(13, 211);  // capacity not a multiple of any block
+      expect_paged_matches_dense(fx, 7, 4, 306, s);
+      expect_paged_matches_dense(fx, 12, 5, 307, s);
+    }
   }
 }
 
@@ -205,7 +244,9 @@ TEST(KvPaging, RandomizedTriplesAreBitIdentical) {
         block_sizes[rng.next() % (sizeof(block_sizes) / sizeof(size_t))];
     const size_t t_rows = 1 + rng.next() % cap;
     PagingFixture fx(cap, 230 + trial);
-    expect_paged_matches_dense(fx, t_rows, bs, 400 + trial * 10);
+    for (const numeric::KvStorage s : kSweepStorages) {
+      expect_paged_matches_dense(fx, t_rows, bs, 400 + trial * 10, s);
+    }
   }
 }
 
@@ -319,73 +360,28 @@ TEST(KvPaging, BlockReuseAfterReleaseIsBitIdentical) {
   EXPECT_EQ(reused, fresh);
 }
 
-// --- block-strided span path vs gather fallback -----------------------------
+// --- block-strided spans over chunked prefill ------------------------------
 
-/// Three-way bit-identity at one (T, block_rows) shape: dense reference,
-/// paged block-strided (the default decode path: QK/SV stream the block
-/// table via span lists, softmax fused on the i32 accumulator), and the
-/// paged gather fallback (kv_gather_fallback: legacy copy-out into
-/// contiguous scratch). All three must agree bit for bit at every step,
-/// and only the fallback may move gather bytes.
-void expect_strided_matches_gather(const PagingFixture& fx, size_t t_rows,
-                                   size_t block_rows, uint64_t seed) {
-  const auto prefix = random_input(t_rows, fx.cfg.d_model, seed);
-  const auto tokens =
-      random_input(fx.cfg.seq_len, fx.cfg.d_model, seed + 1);
-
-  runtime::GenerationOptions dense_opts;
-  dense_opts.kv_block_rows = 0;
-  runtime::GenerationSession dense(fx.acfg, fx.qd, nullptr, dense_opts);
-
-  accel::EngineStats strided_stats, gather_stats;
-  runtime::GenerationOptions strided_opts;
-  strided_opts.kv_block_rows = block_rows;
-  runtime::GenerationSession strided(fx.acfg, fx.qd, &strided_stats,
-                                     strided_opts);
-
-  runtime::GenerationOptions gather_opts = strided_opts;
-  gather_opts.kv_gather_fallback = true;
-  runtime::GenerationSession gather(fx.acfg, fx.qd, &gather_stats,
-                                    gather_opts);
-
-  tensor::MatrixF ds, ss, gs;
-  dense.prefill(prefix, fx.memory, ds);
-  strided.prefill(prefix, fx.memory, ss);
-  gather.prefill(prefix, fx.memory, gs);
-  ASSERT_EQ(ss, ds) << "strided prefill T=" << t_rows << " bs=" << block_rows;
-  ASSERT_EQ(gs, ds) << "gather prefill T=" << t_rows << " bs=" << block_rows;
-
-  for (size_t t = t_rows; t < fx.cfg.seq_len; ++t) {
-    const auto token = tokens.slice_rows(t, 1);
-    dense.decode_step(token, ds);
-    strided.decode_step(token, ss);
-    gather.decode_step(token, gs);
-    ASSERT_EQ(ss, ds) << "strided pos " << t << " bs=" << block_rows;
-    ASSERT_EQ(gs, ds) << "gather pos " << t << " bs=" << block_rows;
-  }
-  // The span path never copies the prefix; the fallback always does.
-  EXPECT_EQ(strided_stats.gathered_bytes, 0u);
-  EXPECT_GT(strided_stats.span_runs, 0u);
-  EXPECT_GT(gather_stats.gathered_bytes, 0u);
-  EXPECT_EQ(gather_stats.span_runs, 0u);
-}
-
-TEST(KvPaging, BlockStridedMatchesGatherFallbackAcrossBlockSizes) {
-  // block_rows 1 (every row its own run), 3 (straddles everywhere: 8 and
-  // 13 are not multiples of 3) and 16 (one run covering the whole
-  // capacity), with prompts ending on, before and past block boundaries.
-  {
-    PagingFixture fx(8, 270);
-    expect_strided_matches_gather(fx, 5, 1, 600);
-    expect_strided_matches_gather(fx, 3, 3, 601);   // prompt == boundary
-    expect_strided_matches_gather(fx, 4, 3, 602);   // one past it
-    expect_strided_matches_gather(fx, 2, 3, 603);   // one before it
-    expect_strided_matches_gather(fx, 5, 16, 604);  // block > capacity
-  }
-  {
-    PagingFixture fx(13, 271);
-    expect_strided_matches_gather(fx, 7, 3, 605);
-    expect_strided_matches_gather(fx, 13, 3, 606);  // prompt fills capacity
+TEST(KvPaging, ChunkedPrefillSpansMatchDenseAcrossBlockSizes) {
+  // 4-row prefill passes run the packed GEMM over multi-run span lists
+  // that already hold earlier passes' rows; block_rows 1 (every row its
+  // own run), 3 (straddles everywhere: 8 and 13 are not multiples of 3)
+  // and 16 (one run covering the whole capacity), with prompts ending
+  // on, before and past block boundaries — for every swept format.
+  for (const numeric::KvStorage s : kSweepStorages) {
+    {
+      PagingFixture fx(8, 270);
+      expect_paged_matches_dense(fx, 5, 1, 600, s, 4);
+      expect_paged_matches_dense(fx, 3, 3, 601, s, 4);   // prompt == boundary
+      expect_paged_matches_dense(fx, 4, 3, 602, s, 4);   // one past it
+      expect_paged_matches_dense(fx, 2, 3, 603, s, 4);   // one before it
+      expect_paged_matches_dense(fx, 5, 16, 604, s, 4);  // block > capacity
+    }
+    {
+      PagingFixture fx(13, 271);
+      expect_paged_matches_dense(fx, 7, 3, 605, s, 4);
+      expect_paged_matches_dense(fx, 13, 3, 606, s, 4);  // fills capacity
+    }
   }
 }
 
@@ -394,19 +390,20 @@ TEST(KvPaging, ForkedTablesMidDivergenceReadOwnSpans) {
   // sibling's span lists must resolve through ITS block table — after
   // divergence the straddling block is privatized by the first write, so
   // the child must never observe the parent's post-fork rows (and vice
-  // versa). Both lineages are checked against fresh solo replays, on the
-  // strided path and the gather fallback alike.
+  // versa). Both lineages are checked against fresh solo replays, for
+  // every swept storage format.
   PagingFixture fx(14, 280);
   for (const size_t block_rows : {size_t{1}, size_t{3}}) {
-    for (const bool fallback : {false, true}) {
+    for (const numeric::KvStorage storage : kSweepStorages) {
       runtime::KvBlockPool pool;
       pool.configure(/*blocks=*/32, block_rows,
                      fx.cfg.num_layers * fx.cfg.num_heads * 2 *
-                         fx.cfg.head_dim());
+                         numeric::kv_storage_bytes(fx.cfg.head_dim(),
+                                                   storage));
       runtime::GenerationOptions opts;
       opts.kv_block_rows = block_rows;
       opts.kv_pool = &pool;
-      opts.kv_gather_fallback = fallback;
+      opts.kv_storage = storage;
       runtime::GenerationSession parent(fx.acfg, fx.qd, nullptr, opts);
       runtime::GenerationSession child(fx.acfg, fx.qd, nullptr, opts);
 
@@ -434,8 +431,12 @@ TEST(KvPaging, ForkedTablesMidDivergenceReadOwnSpans) {
         child_states.push_back(cs);
       }
 
-      // Solo replays of each full lineage are the ground truth.
-      runtime::GenerationSession solo(fx.acfg, fx.qd);
+      // Solo replays of each full lineage on the dense layout are the
+      // ground truth (no block table, so no read-side defect to share).
+      runtime::GenerationOptions solo_opts;
+      solo_opts.kv_block_rows = 0;
+      solo_opts.kv_storage = storage;
+      runtime::GenerationSession solo(fx.acfg, fx.qd, nullptr, solo_opts);
       for (const bool is_child : {false, true}) {
         solo.prefill(prompt, fx.memory, states);
         for (size_t t = 0; t < 3; ++t) {
@@ -447,7 +448,8 @@ TEST(KvPaging, ForkedTablesMidDivergenceReadOwnSpans) {
           solo.decode_step(tok.slice_rows(t, 1), rs);
           EXPECT_EQ(got[t], rs)
               << (is_child ? "child" : "parent") << " pos " << t
-              << " bs=" << block_rows << " fallback=" << fallback;
+              << " bs=" << block_rows << " "
+              << numeric::kv_storage_name(storage);
         }
       }
       parent.end_sequence();

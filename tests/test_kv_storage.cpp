@@ -3,12 +3,12 @@
 //   * byte-width regression sweep — every estimator that reports KV bytes
 //     (estimate_kv_footprint, estimate_forked_kv_footprint,
 //     estimate_preemption_cost, estimate_prefix_cache_savings, the
-//     decode-step perf model's gather/dequant traffic) must match the
+//     decode-step perf model's dequant traffic) must match the
 //     bytes the runtime actually allocates and moves, for int8 AND every
 //     quantized format — the "1 byte/element" assumptions this PR removed
 //     can never silently come back;
-//   * determinism of quantized paged decode: paged == dense, strided ==
-//     gather, byte-exact across COW forks, swap round trips, prefix
+//   * determinism of quantized paged decode: paged == dense, byte-exact
+//     across COW forks, swap round trips, prefix
 //     adoption and repeat runs — decode output depends only on the
 //     storage choice, never on paging history;
 //   * the mixed-format guards: a pool serving int8 and fp8 sequences has
@@ -114,10 +114,12 @@ TEST(KvStorageBytes, FootprintRowBytesMatchPoolGeometry) {
             fx.row_bytes(KvStorage::kInt8) / 2);
 }
 
-TEST(KvStorageBytes, ExecutedGatherBytesMatchEstimators) {
-  // The gather fallback's executed EngineStats::gathered_bytes must equal
-  // both byte models — KvFootprint::gather_bytes_per_step and the decode
-  // step report's self_gather stage — per step, per format.
+TEST(KvStorageBytes, ExecutedDecodeStepsMatchEstimatorsPerFormat) {
+  // Per step, per format: a paged session's executed MACs equal the
+  // decode-step model's, its states equal a dense session's, and the
+  // model's streamed stored-code bytes (the kv_dequant stage) equal the
+  // footprint model's pool row width times the cached rows — int8 reads
+  // in place and streams nothing extra.
   Fixture fx(10);
   const uint32_t br = 3;
   for (const KvStorage s : kAllStorages) {
@@ -125,24 +127,31 @@ TEST(KvStorageBytes, ExecutedGatherBytesMatchEstimators) {
     accel::EngineStats stats;
     runtime::GenerationOptions opts;
     opts.kv_block_rows = br;
-    opts.kv_gather_fallback = true;
     opts.kv_storage = s;
     runtime::GenerationSession session(fx.acfg, fx.qd, &stats, opts);
-    tensor::MatrixF states;
-    session.prefill(random_input(4, fx.cfg.d_model, 920), fx.memory, states);
+    runtime::GenerationOptions dense_opts = opts;
+    dense_opts.kv_block_rows = 0;
+    runtime::GenerationSession dense(fx.acfg, fx.qd, nullptr, dense_opts);
+    tensor::MatrixF states, dense_states;
+    const auto prompt = random_input(4, fx.cfg.d_model, 920);
+    session.prefill(prompt, fx.memory, states);
+    dense.prefill(prompt, fx.memory, dense_states);
+    ASSERT_EQ(states, dense_states);
 
     const auto tokens = random_input(fx.cfg.seq_len, fx.cfg.d_model, 921);
-    tensor::MatrixF state;
+    tensor::MatrixF state, dense_state;
     for (uint32_t pos = 4; pos < fx.cfg.seq_len; ++pos) {
-      const uint64_t before = stats.gathered_bytes;
+      const uint64_t before = stats.macs;
       session.decode_step(tokens.slice_rows(pos, 1), state);
-      const uint64_t executed = stats.gathered_bytes - before;
-      const auto fp = accel::estimate_kv_footprint(fx.cfg, pos + 1, br, s);
-      EXPECT_EQ(executed, fp.gather_bytes_per_step) << "pos " << pos;
+      dense.decode_step(tokens.slice_rows(pos, 1), dense_state);
+      ASSERT_EQ(state, dense_state) << "pos " << pos;
       const auto report = accel::estimate_decode_step_performance(
-          fx.acfg, fx.cfg, pos, static_cast<uint32_t>(fx.memory.rows()),
-          /*kv_gather_fallback=*/true, s);
-      EXPECT_EQ(executed, report.bytes_loaded) << "pos " << pos;
+          fx.acfg, fx.cfg, pos, static_cast<uint32_t>(fx.memory.rows()), s);
+      EXPECT_EQ(stats.macs - before, report.macs) << "pos " << pos;
+      const auto fp = accel::estimate_kv_footprint(fx.cfg, pos + 1, br, s);
+      EXPECT_EQ(report.bytes_loaded,
+                s == KvStorage::kInt8 ? 0u : fp.row_bytes * (pos + 1))
+          << "pos " << pos;
     }
   }
 }
@@ -150,21 +159,21 @@ TEST(KvStorageBytes, ExecutedGatherBytesMatchEstimators) {
 TEST(KvStorageBytes, DecodeStepModelInt8IsUntouchedAndQuantAddsDequant) {
   // int8 must be byte-identical to the pre-storage model (no new stage,
   // zero bytes); a quantized format adds ONLY the bytes-only kv_dequant
-  // stage in strided mode — cycles and MACs never move with storage.
+  // stage — cycles and MACs never move with storage.
   Fixture fx;
   const uint32_t mem = static_cast<uint32_t>(fx.memory.rows());
   const auto base = accel::estimate_decode_step_performance(fx.acfg, fx.cfg,
                                                             6, mem);
   const auto int8 = accel::estimate_decode_step_performance(
-      fx.acfg, fx.cfg, 6, mem, false, KvStorage::kInt8);
+      fx.acfg, fx.cfg, 6, mem, KvStorage::kInt8);
   EXPECT_EQ(int8.bytes_loaded, 0u);
   EXPECT_EQ(int8.total_cycles, base.total_cycles);
   EXPECT_EQ(int8.stages.size(), base.stages.size());
 
   for (const KvStorage s : kQuantStorages) {
     SCOPED_TRACE(numeric::kv_storage_name(s));
-    const auto q = accel::estimate_decode_step_performance(fx.acfg, fx.cfg, 6,
-                                                           mem, false, s);
+    const auto q =
+        accel::estimate_decode_step_performance(fx.acfg, fx.cfg, 6, mem, s);
     EXPECT_EQ(q.total_cycles, base.total_cycles);
     EXPECT_EQ(q.macs, base.macs);
     ASSERT_EQ(q.stages.size(), base.stages.size() + 1);
@@ -179,12 +188,12 @@ TEST(KvStorageBytes, DecodeStepModelInt8IsUntouchedAndQuantAddsDequant) {
   }
 }
 
-// --- paged == dense == gather, deterministic, per format ---------------------
+// --- paged == dense, deterministic, per format -------------------------------
 
 TEST(KvStorageDecode, PagedMatchesDenseAcrossFormatsAndBlockSizes) {
   // A quantized format quantizes ONCE per stored element; dense (in-place
-  // round-trip), paged block-strided (LUT fused into the span pack) and
-  // the paged gather fallback must all see the same decoded values —
+  // round-trip) and paged block-strided (LUT — and for fp4 the nibble
+  // split — fused into the span pack) must see the same decoded values:
   // bit-identical outputs at every step, for every format.
   Fixture fx(10);
   for (const KvStorage s : kQuantStorages) {
@@ -199,42 +208,26 @@ TEST(KvStorageDecode, PagedMatchesDenseAcrossFormatsAndBlockSizes) {
       dense_opts.kv_storage = s;
       runtime::GenerationSession dense(fx.acfg, fx.qd, nullptr, dense_opts);
 
-      accel::EngineStats strided_stats, gather_stats;
+      accel::EngineStats strided_stats;
       runtime::GenerationOptions strided_opts;
       strided_opts.kv_block_rows = br;
       strided_opts.kv_storage = s;
       runtime::GenerationSession strided(fx.acfg, fx.qd, &strided_stats,
                                          strided_opts);
-      runtime::GenerationOptions gather_opts = strided_opts;
-      gather_opts.kv_gather_fallback = true;
-      runtime::GenerationSession gather(fx.acfg, fx.qd, &gather_stats,
-                                        gather_opts);
 
-      tensor::MatrixF ds, ss, gs;
+      tensor::MatrixF ds, ss;
       dense.prefill(prefix, fx.memory, ds);
       strided.prefill(prefix, fx.memory, ss);
-      gather.prefill(prefix, fx.memory, gs);
       ASSERT_EQ(ss, ds);
-      ASSERT_EQ(gs, ds);
       for (size_t t = prefix.rows(); t < fx.cfg.seq_len; ++t) {
         const auto token = tokens.slice_rows(t, 1);
         dense.decode_step(token, ds);
         strided.decode_step(token, ss);
-        gather.decode_step(token, gs);
         ASSERT_EQ(ss, ds) << "strided pos " << t;
-        ASSERT_EQ(gs, ds) << "gather pos " << t;
       }
-      if (s == KvStorage::kFp4E2M1) {
-        // Packed fp4 rows are not span-readable: the default path falls
-        // back to gathering (decoding nibbles as it stages).
-        EXPECT_GT(strided_stats.gathered_bytes, 0u);
-      } else {
-        // fp8 streams the block table in place, codes decoded in the
-        // pack stage — still zero gather traffic.
-        EXPECT_EQ(strided_stats.gathered_bytes, 0u);
-        EXPECT_GT(strided_stats.span_runs, 0u);
-      }
-      EXPECT_GT(gather_stats.gathered_bytes, 0u);
+      // Every format streams the block table in place, codes decoded in
+      // the pack stage.
+      EXPECT_GT(strided_stats.span_runs, 0u);
     }
   }
 }
@@ -299,7 +292,7 @@ TEST(KvStorageDecode, CowForkDivergenceBitIdenticalPerFormat) {
     }
 
     runtime::GenerationOptions solo_opts;
-    solo_opts.kv_block_rows = 3;
+    solo_opts.kv_block_rows = 0;  // dense replay: an independent oracle
     solo_opts.kv_storage = s;
     runtime::GenerationSession solo(fx.acfg, fx.qd, nullptr, solo_opts);
     for (const bool is_child : {false, true}) {
@@ -558,39 +551,58 @@ TEST(KvStorageGemm, LutGemmMatchesDecodeThenInt8) {
 }
 
 TEST(KvStorageGemm, SpanDecodeDispatchMatchesContiguous) {
-  // A RowSpanListI8 with `decode` set must equal decoding the spanned
-  // bytes into a contiguous matrix and multiplying that — the exact
-  // contract KvCache::self_spans hands the QK/SV engines.
-  const numeric::KvCodec* codec = numeric::kv_codec(KvStorage::kFp8E5M2);
-  ASSERT_NE(codec, nullptr);
+  // A RowSpanListI8 with `decode` set (and, for packed fp4, `nibbles`)
+  // must equal decoding the spanned bytes into a contiguous matrix and
+  // multiplying that — the exact contract KvCache::self_spans hands the
+  // QK/SV engines. m = 3 runs the row-direct path, m = 5 the packed one.
   util::Xoshiro256 rng(991);
-  const size_t k = 10, n = 6, m = 3;
-  tensor::MatrixI8 a(m, k), codes(k, n);
-  for (auto& x : a.flat()) {
-    x = static_cast<int8_t>(static_cast<int32_t>(rng.bounded(256)) - 128);
-  }
-  for (auto& x : codes.flat()) x = static_cast<int8_t>(rng.bounded(256));
+  for (const KvStorage storage : {KvStorage::kFp8E5M2, KvStorage::kFp4E2M1}) {
+    const numeric::KvCodec* codec = numeric::kv_codec(storage);
+    ASSERT_NE(codec, nullptr);
+    const bool nibbles = storage == KvStorage::kFp4E2M1;
+    const size_t k = 10, n = 6;
+    const size_t stride = numeric::kv_storage_bytes(n, storage) + 2;
+    std::vector<int8_t> store(k * stride, 0x5a);  // sentinel padding
+    tensor::MatrixI8 decoded(k, n);
+    for (size_t r = 0; r < k; ++r) {
+      for (size_t c = 0; c < n; ++c) {
+        const auto code = static_cast<uint8_t>(rng.bounded(nibbles ? 16 : 256));
+        int8_t& byte = store[r * stride + (nibbles ? c / 2 : c)];
+        if (!nibbles || c % 2 == 0) {
+          byte = static_cast<int8_t>(code);
+        } else {
+          byte = static_cast<int8_t>(static_cast<uint8_t>(byte) | (code << 4));
+        }
+        decoded(r, c) = codec->decode[code];
+      }
+    }
 
-  // Split the k rows into three runs to exercise the span cursor.
-  const tensor::RowSpanI8 runs[] = {{codes.row(0).data(), 4},
-                                    {codes.row(4).data(), 1},
-                                    {codes.row(5).data(), 5}};
-  tensor::RowSpanListI8 spans;
-  spans.runs = runs;
-  spans.rows = k;
-  spans.cols = n;
-  spans.row_stride = n;
-  spans.decode = codec->decode.data();
+    // Split the k rows into three runs to exercise the span cursor.
+    const tensor::RowSpanI8 runs[] = {{store.data(), 4},
+                                      {store.data() + 4 * stride, 1},
+                                      {store.data() + 5 * stride, 5}};
+    tensor::RowSpanListI8 spans;
+    spans.runs = runs;
+    spans.rows = k;
+    spans.cols = n;
+    spans.row_stride = stride;
+    spans.decode = codec->decode.data();
+    spans.nibbles = nibbles;
 
-  tensor::MatrixI8 decoded(k, n);
-  for (size_t i = 0; i < codes.size(); ++i) {
-    decoded.data()[i] = codec->decode[static_cast<uint8_t>(codes.data()[i])];
+    for (const size_t m : {size_t{3}, size_t{5}}) {
+      SCOPED_TRACE(std::string(numeric::kv_storage_name(storage)) +
+                   " m=" + std::to_string(m));
+      tensor::MatrixI8 a(m, k);
+      for (auto& x : a.flat()) {
+        x = static_cast<int8_t>(static_cast<int32_t>(rng.bounded(256)) - 128);
+      }
+      std::vector<int8_t> pack(tensor::qgemm_pack_elems(n));
+      tensor::MatrixI32 want(m, n), got(m, n);
+      tensor::qgemm_into(a, decoded, want, pack);
+      tensor::qgemm_spans_into(a, spans, got, pack);
+      EXPECT_EQ(got, want);
+    }
   }
-  std::vector<int8_t> pack(tensor::qgemm_pack_elems(n));
-  tensor::MatrixI32 want(m, n), got(m, n);
-  tensor::qgemm_into(a, decoded, want, pack);
-  tensor::qgemm_spans_into(a, spans, got, pack);
-  EXPECT_EQ(got, want);
 }
 
 }  // namespace

@@ -143,20 +143,22 @@ MatrixI8 decoded(const MatrixI8& codes, const Lut& lut) {
 
 /// A copy of `m` stored as a span list: runs of 1, 3, 1, 2 and 5 rows
 /// (repeating), laid out in storage in reverse run order, rows
-/// `row_stride = cols + 3` apart. Stride padding and the gaps between runs
-/// hold a sentinel, so a cursor that strays reads wrong values. `list`
-/// points into `storage` and `runs`, so a SpannedCopy is moved, never
-/// copied.
+/// `row_stride = row bytes + 3` apart. Stride padding and the gaps between
+/// runs hold a sentinel, so a cursor that strays reads wrong values. With
+/// `nibbles`, `m` holds 4-bit codes (even cols) stored two per byte, low
+/// nibble = even column. `list` points into `storage` and `runs`, so a
+/// SpannedCopy is moved, never copied.
 struct SpannedCopy {
   std::vector<int8_t> storage;
   std::vector<RowSpanI8> runs;
   RowSpanListI8 list;
 };
 
-SpannedCopy spanned(const MatrixI8& m, const int8_t* decode = nullptr) {
+SpannedCopy spanned(const MatrixI8& m, const int8_t* decode = nullptr,
+                    bool nibbles = false) {
   static constexpr size_t kRunRows[] = {1, 3, 1, 2, 5};
   SpannedCopy out;
-  const size_t stride = m.cols() + 3;
+  const size_t stride = (nibbles ? m.cols() / 2 : m.cols()) + 3;
   std::vector<size_t> lengths;
   for (size_t r = 0, i = 0; r < m.rows(); ++i) {
     lengths.push_back(std::min(kRunRows[i % 5], m.rows() - r));
@@ -173,8 +175,15 @@ SpannedCopy spanned(const MatrixI8& m, const int8_t* decode = nullptr) {
   for (size_t i = 0, r = 0; i < lengths.size(); r += lengths[i++]) {
     int8_t* base = out.storage.data() + first_row[i] * stride;
     for (size_t j = 0; j < lengths[i]; ++j) {
-      std::copy(m.row(r + j).begin(), m.row(r + j).end(),
-                base + j * stride);
+      const auto row = m.row(r + j);
+      int8_t* dst = base + j * stride;
+      if (!nibbles) {
+        std::copy(row.begin(), row.end(), dst);
+        continue;
+      }
+      for (size_t c = 0; c < row.size(); c += 2) {
+        dst[c / 2] = static_cast<int8_t>(row[c] | (row[c + 1] << 4));
+      }
     }
     out.runs.push_back({base, lengths[i]});
   }
@@ -183,6 +192,7 @@ SpannedCopy spanned(const MatrixI8& m, const int8_t* decode = nullptr) {
   out.list.cols = m.cols();
   out.list.row_stride = stride;
   out.list.decode = decode;
+  out.list.nibbles = nibbles;
   return out;
 }
 
@@ -317,6 +327,105 @@ TEST(QGemmEntryPoints, AllMinusOneTwentyEightDoesNotOverflow) {
     qgemm_bt(a, transposed(codes), c);
     for (const int32_t x : c.flat()) EXPECT_EQ(x, 1024 * 16384);
   }
+}
+
+// --- packed fp4 (two codes per byte) span operands --------------------------
+
+/// (r x c) 4-bit codes: element i holds i % 16 for the first 16 elements
+/// (so every code appears once the matrix has 16), random codes after.
+MatrixI8 random_nibbles(size_t r, size_t c, uint64_t seed) {
+  MatrixI8 m(r, c);
+  util::Xoshiro256 rng(seed);
+  for (size_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = static_cast<int8_t>(i < 16 ? i : rng.bounded(16));
+  }
+  return m;
+}
+
+/// Both span entry points on nibble lists against the naive oracles on
+/// the decoded matrix: `codes` (k x n) is B for qgemm_spans_into, its
+/// transpose B^T for qgemm_bt_spans_into (k and n even).
+void expect_nibble_spans_match_naive(const MatrixI8& a, const MatrixI8& codes,
+                                     const Lut& lut, const std::string& at) {
+  const MatrixI8 b = decoded(codes, lut);
+  const MatrixI8 codes_t = transposed(codes);
+  MatrixI32 want, want_bt;
+  qgemm_naive(a, b, want);
+  qgemm_bt_naive(a, transposed(b), want_bt);
+
+  const size_t n = codes.cols();
+  std::vector<int8_t> pack(qgemm_pack_elems(n));
+  const SpannedCopy spans = spanned(codes, lut.data(), /*nibbles=*/true);
+  const SpannedCopy spans_t = spanned(codes_t, lut.data(), /*nibbles=*/true);
+  MatrixI32 c(a.rows(), n, 0x7f7f7f7f);  // every element must be written
+  qgemm_spans_into(a, spans.list, c, pack);
+  EXPECT_EQ(c, want) << "qgemm_spans_into+nibbles " << at;
+  MatrixI32 c_bt(a.rows(), n, 0x7f7f7f7f);
+  qgemm_bt_spans_into(a, spans_t.list, c_bt, pack);
+  EXPECT_EQ(c_bt, want_bt) << "qgemm_bt_spans_into+nibbles " << at;
+}
+
+TEST(QGemmNibbleSpans, MatchNaiveAcrossRowDirectBoundary) {
+  // Even widths that are not multiples of 8, a K crossing one K block
+  // (300) for the bt form, m on both sides of the row-direct boundary.
+  const Lut lut = random_lut(800);
+  uint64_t seed = 801;
+  for (const size_t k : {2, 12, 300}) {
+    for (const size_t n : {2, 6, 38}) {
+      for (size_t m = 0; m <= 5; ++m) {
+        expect_nibble_spans_match_naive(
+            random_i8(m, k, seed), random_nibbles(k, n, seed + 1), lut,
+            "m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                " n=" + std::to_string(n));
+        seed += 2;
+      }
+    }
+  }
+}
+
+TEST(QGemmNibbleSpans, EveryCodeDecodesThroughItsOwnEntry) {
+  // A table whose 16 entries are all distinct: each of the 16 codes, in
+  // the low and the high nibble alike, must select exactly its entry.
+  Lut lut{};
+  for (size_t code = 0; code < 16; ++code) {
+    lut[code] = static_cast<int8_t>(-128 + 17 * static_cast<int>(code));
+  }
+  for (const size_t m : {1, 4}) {
+    MatrixI8 codes(4, 8);
+    for (size_t i = 0; i < codes.size(); ++i) {
+      codes.data()[i] = static_cast<int8_t>(i % 16);
+    }
+    expect_nibble_spans_match_naive(random_i8(m, 4, 900 + m), codes, lut,
+                                    "codes 0..15 m=" + std::to_string(m));
+  }
+}
+
+TEST(QGemmNibbleSpans, MalformedListsThrow) {
+  const Lut lut = identity_lut();
+  const std::vector<int8_t> bytes(64, 0x21);
+  const RowSpanI8 run{bytes.data(), 4};
+  RowSpanListI8 list;
+  list.runs = {&run, 1};
+  list.rows = 4;
+  list.decode = lut.data();
+  list.nibbles = true;
+  std::vector<int8_t> pack(qgemm_pack_elems(8));
+  const auto a = random_i8(1, 4, 950);
+  auto rejects = [&](size_t cols, size_t stride) {
+    list.cols = cols;
+    list.row_stride = stride;
+    MatrixI32 c(1, cols);
+    EXPECT_THROW(qgemm_spans_into(a, list, c, pack), std::invalid_argument)
+        << "cols " << cols << " stride " << stride;
+  };
+  rejects(5, 3);  // odd width: the last byte would hold half an element
+  rejects(6, 2);  // stride below the 3 bytes a 6-wide row stores
+  list.cols = 6;
+  list.row_stride = 3;  // exactly the stored row: accepted
+  MatrixI32 c(1, 6);
+  EXPECT_NO_THROW(qgemm_spans_into(a, list, c, pack));
+  list.decode = nullptr;  // codes without a table have no int8 value
+  EXPECT_THROW(qgemm_spans_into(a, list, c, pack), std::invalid_argument);
 }
 
 }  // namespace
